@@ -1,10 +1,10 @@
 """Top-level compressor API: the two calls an end user makes.
 
 The paper's usage model is "call our compress or decompress APIs directly
-from Python training or inference code".  :func:`make_compressor` builds a
-compiled (fixed-shape) compressor for one of the three methods; the
-convenience :func:`compress`/:func:`decompress` pair builds and caches
-compressors keyed on (shape, method, cf, s).
+from Python training or inference code".  :func:`make_compressor` returns
+the compiled (fixed-shape) compressor for one of the three methods, built
+once per normalised configuration and shared process-wide; the
+convenience :func:`compress`/:func:`decompress` pair goes through it.
 
 When a serving layer is installed via :func:`set_service`, the
 convenience pair routes through it instead, so one-shot calls share the
@@ -17,11 +17,12 @@ import threading
 from collections import OrderedDict
 from typing import Protocol, runtime_checkable
 
+from repro.core import parallel as parallel_mod
 from repro.core.chop import DCTChopCompressor
 from repro.core.dct import DEFAULT_BLOCK
 from repro.core.scatter_gather import ScatterGatherCompressor
 from repro.core.serialization import PartialSerializedCompressor
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_int
 from repro.tensor import Tensor
 
 METHODS = ("dc", "ps", "sg")
@@ -57,7 +58,16 @@ def make_compressor(
     fast: bool | str | None = None,
     workers: int | None = None,
 ) -> Compressor:
-    """Build a compiled compressor.
+    """The compiled compressor for one configuration, shared per process.
+
+    Operands are computed "offline ... during compilation" (Sec. 3.3), so
+    a process pays construction and the seeded equivalence probes once
+    per normalised ``(height, width, method, cf, s, block, fast,
+    workers)``: every call with the same configuration returns the same
+    instance from a bounded LRU (128 entries; :func:`clear_cache` drops
+    them).  Shared instances are immutable — their operands are
+    read-only and nothing may set attributes on them; only their probe
+    verdicts accumulate, which is the point of sharing.
 
     Parameters
     ----------
@@ -86,30 +96,46 @@ def make_compressor(
     are not block multiples — raise :class:`ConfigError` naming the
     offending values; nothing is silently truncated.
     """
+    # Validate and normalise before the cache lookup: the key must be
+    # built from plain ints, or ``32.0``/``True`` would hash equal to a
+    # cached valid ``32``/``1`` and skip the ConfigError.  Range and
+    # divisibility checks stay in the constructors — they depend only on
+    # the normalised key, so an invalid key never enters the cache.
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+    height = require_int("height", height)
+    width = height if width is None else require_int("width", width)
+    cf = require_int("cf", cf)
+    block = require_int("block", block)
+    # Only PS subdivides; the other methods ignore ``s`` and share one key.
+    s = require_int("subdivision factor s", s) if method == "ps" else None
+    if workers is not None:
+        workers = require_int("workers", workers, minimum=0)
+        if workers == 0:
+            workers = parallel_mod.cpu_workers()
     if fast == "auto":
         from repro.core import autotune
 
         # Plan at the plane resolution the method actually executes
         # (PS runs the inner chunk-resolution compressor per cell).
-        w = height if width is None else width
-        plan_h, plan_w = (height // s, w // s) if method == "ps" else (height, w)
+        plan_h, plan_w = (height // s, width // s) if method == "ps" else (height, width)
         plan = autotune.planned(plan_h, plan_w, cf=cf, block=block)
         fast = plan.fast
         if workers is None:
             workers = plan.workers
     elif isinstance(fast, str):
         raise ConfigError(f'fast must be True, False, None, or "auto", got {fast!r}')
-    if method == "dc":
-        return DCTChopCompressor(height, width, cf=cf, block=block, fast=fast, workers=workers)
-    if method == "ps":
-        return PartialSerializedCompressor(
-            height, width, cf=cf, s=s, block=block, fast=fast, workers=workers
-        )
-    if method == "sg":
-        return ScatterGatherCompressor(
-            height, width, cf=cf, block=block, fast=fast, workers=workers
-        )
-    raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+    fast = None if fast is None else bool(fast)
+
+    def build() -> Compressor:
+        if method == "ps":
+            return PartialSerializedCompressor(
+                height, width, cf=cf, s=s, block=block, fast=fast, workers=workers
+            )
+        cls = DCTChopCompressor if method == "dc" else ScatterGatherCompressor
+        return cls(height, width, cf=cf, block=block, fast=fast, workers=workers)
+
+    return _cache.get_or_build((height, width, method, cf, s, block, fast, workers), build)
 
 
 # Installed serving layer (duck-typed to avoid a core -> serve import;
@@ -137,12 +163,11 @@ def get_service():
 class _CompressorCache:
     """Bounded, lock-guarded LRU of compiled compressors.
 
-    The previous module-level ``dict`` grew by one entry per novel
-    ``(H, W, method, cf, s, block)`` forever and raced on concurrent
-    first-calls.  Builds happen outside the lock (construction compiles
-    operators, which can be slow); when two threads race to build the same
-    key, the first insert wins and the loser's instance is discarded, so
-    callers always converge on one shared compressor per key.
+    Keyed on :func:`make_compressor`'s normalised configuration.  Builds
+    happen outside the lock (construction compiles operators, which can be
+    slow); when two threads race to build the same key, the first insert
+    wins and the loser's instance is discarded, so callers always converge
+    on one shared compressor per key.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -193,20 +218,12 @@ def clear_cache() -> None:
     fused.clear_fused_cache()
 
 
-def _cached(height: int, width: int, method: str, cf: int, s: int, block: int) -> Compressor:
-    key = (height, width, method, cf, s, block)
-    return _cache.get_or_build(
-        key,
-        lambda: make_compressor(height, width, method=method, cf=cf, s=s, block=block),
-    )
-
-
 def compress(x, *, method: str = "dc", cf: int = 4, s: int = 2, block: int = DEFAULT_BLOCK) -> Tensor:
     """One-shot compression of a ``(..., H, W)`` array/tensor."""
     if _service is not None:
         return _service.compress_one(x, method=method, cf=cf, s=s, block=block)
     shape = x.shape
-    comp = _cached(shape[-2], shape[-1], method, cf, s, block)
+    comp = make_compressor(shape[-2], shape[-1], method=method, cf=cf, s=s, block=block)
     return comp.compress(x)
 
 
@@ -222,5 +239,7 @@ def decompress(
     """One-shot decompression back to ``original_shape``'s plane size."""
     if _service is not None:
         return _service.decompress_one(y, original_shape, method=method, cf=cf, s=s, block=block)
-    comp = _cached(original_shape[-2], original_shape[-1], method, cf, s, block)
+    comp = make_compressor(
+        original_shape[-2], original_shape[-1], method=method, cf=cf, s=s, block=block
+    )
     return comp.decompress(y)

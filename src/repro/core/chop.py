@@ -147,6 +147,10 @@ class DCTChopCompressor:
         # are exactly the transposes of the compression operands (Eq. 6).
         self._rhs_d = Tensor(np.ascontiguousarray(s_h @ m_h.T))
         self._lhs_d = Tensor(np.ascontiguousarray(m_w @ s_w.T))
+        # make_compressor shares instances process-wide (the scrub oracle
+        # included), so the operands are read-only like the fused pairs.
+        for operand in (self._lhs, self._rhs, self._rhs_d, self._lhs_d):
+            operand.data.flags.writeable = False
 
         # Tiled fast path: one fused (cf x block) operator pair per side
         # instead of the dense block-diagonal operands.  For the DCT the

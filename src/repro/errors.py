@@ -53,6 +53,10 @@ def require_int(name: str, value, *, minimum: int = 1) -> int:
     floats (even integral-valued ones, to keep behaviour predictable), and
     anything non-numeric.
     """
+    if type(value) is int and value >= minimum:
+        # Plain ints (never bools) skip the slow ABC check: this runs on
+        # every make_compressor call, cache hits included.
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(
             f"{name} must be an integer, got {value!r} "

@@ -479,14 +479,14 @@ class CompressionService:
             platform, shape,
             method=key.method, cf=key.cf, s=key.s, block=key.block, direction="compress",
         )
-        comp = make_compressor(
-            key.height, key.width, method=key.method, cf=key.cf, s=key.s, block=key.block
-        )
         try:
             program = self.cache.get_or_compile(
                 plan_key,
                 lambda: compile_program(
-                    comp.compress,
+                    make_compressor(
+                        key.height, key.width,
+                        method=key.method, cf=key.cf, s=key.s, block=key.block,
+                    ).compress,
                     np.zeros(shape, np.float32),
                     platform,
                     name=f"{key.method}-compress-{platform}",

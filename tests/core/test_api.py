@@ -145,3 +145,170 @@ class TestCompressorCache:
         assert not errors
         assert len(api._cache) == 1
         clear_cache()
+
+
+class TestSharedInstances:
+    """make_compressor returns one shared, immutable instance per config."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        from repro.core import clear_cache
+
+        clear_cache()
+        yield
+        clear_cache()
+
+    def test_same_config_same_instance(self):
+        assert make_compressor(32, cf=4) is make_compressor(32, 32, cf=4)
+        assert make_compressor(32, cf=4) is not make_compressor(32, cf=3)
+        # dc/sg ignore ``s``, so it does not split their key.
+        assert make_compressor(32, s=2) is make_compressor(32, s=4)
+        assert make_compressor(64, method="ps", s=2) is not make_compressor(
+            64, method="ps", s=4
+        )
+
+    def test_dense_only_instance_is_separate(self):
+        default = make_compressor(32, cf=4)
+        dense = make_compressor(32, cf=4, fast=False)
+        assert dense is not default
+        assert dense is make_compressor(32, cf=4, fast=False)
+        assert make_compressor(32, cf=4, workers=1) is not default
+
+    def test_auto_shares_with_resolved_config(self):
+        from repro.core import autotune
+
+        auto = make_compressor(16, cf=2, fast="auto")
+        plan = autotune.planned(16, 16, cf=2)
+        assert auto is make_compressor(16, cf=2, fast=plan.fast, workers=plan.workers)
+        assert auto is make_compressor(16, cf=2, fast="auto")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"height": 32.0}, {"height": 32, "cf": True}, {"height": 32, "cf": 4.0}],
+    )
+    def test_invalid_args_never_hit_a_cached_instance(self, kwargs):
+        make_compressor(32, cf=1)
+        make_compressor(32, cf=4)
+        height = kwargs.pop("height")
+        with pytest.raises(ConfigError):
+            make_compressor(height, **kwargs)
+
+    def test_invalid_config_is_not_cached(self):
+        from repro.core import api
+
+        with pytest.raises(ConfigError):
+            make_compressor(32, cf=9)
+        with pytest.raises(ConfigError):
+            make_compressor(32, cf=9)
+        assert len(api._cache) == 0
+
+    def test_cache_stays_bounded(self):
+        from repro.core import api
+
+        configs = [(8 * k, cf) for k in range(1, 18) for cf in range(1, 9)]
+        assert len(configs) > api._cache.capacity == 128
+        for height, cf in configs:
+            make_compressor(height, cf=cf)
+            assert len(api._cache) <= 128
+        # The most recent configs survive; the oldest were evicted.
+        last = make_compressor(configs[-1][0], cf=configs[-1][1])
+        assert last is make_compressor(configs[-1][0], cf=configs[-1][1])
+
+    def test_container_reads_probe_once_per_shape(self, rng):
+        from repro.core import clear_cache, container, fused
+
+        x = rng.standard_normal((2, 32, 32)).astype(np.float32)
+        blob = container.pack(x, DCTChopCompressor(32, cf=4))
+        clear_cache()
+        before = sum(fused.fast_path_stats().values())
+        outs = [container.unpack(blob)[0] for _ in range(5)]
+        assert sum(fused.fast_path_stats().values()) - before == 1
+        assert all(np.array_equal(o, outs[0]) for o in outs)
+
+    @pytest.mark.parametrize("switch", ["force_dense", "set_fast_path"])
+    def test_dense_switches_beat_cached_verdicts(self, rng, monkeypatch, switch):
+        from repro.core import fused
+
+        comp = make_compressor(32, cf=4)
+        x = rng.standard_normal((2, 32, 32)).astype(np.float32)
+        y = comp.compress(x).data
+        rec = comp.decompress(y).data
+        assert comp._verdicts[("compress", (2,), "<f4")] is True
+        assert comp._verdicts[("decompress", (2,), "<f4")] is True
+
+        def tiled_called(*args, **kwargs):
+            raise AssertionError("tiled kernel ran with the dense path forced")
+
+        for name in ("tiled_compress", "tiled_compress_nd", "tiled_decompress",
+                     "tiled_decompress_nd"):
+            monkeypatch.setattr(fused, name, tiled_called)
+        if switch == "force_dense":
+            with fused.force_dense():
+                y_dense = comp.compress(x).data
+                rec_dense = comp.decompress(y_dense).data
+        else:
+            previous = fused.set_fast_path(False)
+            try:
+                y_dense = comp.compress(x).data
+                rec_dense = comp.decompress(y_dense).data
+            finally:
+                fused.set_fast_path(previous)
+        assert np.array_equal(y_dense, y)
+        assert np.array_equal(rec_dense, rec)
+        with pytest.raises(AssertionError, match="dense path forced"):
+            comp.compress(x)
+
+    @pytest.mark.parametrize("method", ["dc", "ps", "sg"])
+    def test_shared_operands_are_read_only(self, method):
+        comp = make_compressor(64, method=method, cf=4)
+        dc = comp if method == "dc" else comp.inner
+        arrays = [dc._lhs.data, dc._rhs.data, dc._rhs_d.data, dc._lhs_d.data,
+                  dc._fops.enc_r, dc._fops.enc_lT, dc._fops.dec_r, dc._fops.dec_lT]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+
+    def test_custom_transform_operands_are_read_only(self):
+        comp = DCTChopCompressor(16, cf=4, transform=np.eye(8, dtype=np.float32) * 2)
+        for arr in (comp.lhs, comp.rhs, comp._rhs_d.data, comp._lhs_d.data,
+                    comp._fops.enc_r, comp._fops.enc_lT, comp._fops.dec_r,
+                    comp._fops.dec_lT):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+
+    def test_threads_share_one_instance_and_probe_once(self, rng):
+        import sys
+        import threading
+
+        from repro.core import fused
+
+        x = rng.standard_normal((3, 40, 40)).astype(np.float32)
+        before = sum(fused.fast_path_stats().values())
+        got, errors = [], []
+        barrier = threading.Barrier(8, timeout=30)
+
+        def worker():
+            try:
+                barrier.wait()
+                for _ in range(20):
+                    comp = make_compressor(40, cf=3)
+                    got.append(comp)
+                    comp.decompress(comp.compress(x))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(got) == 160 and all(c is got[0] for c in got)
+        # One compress and one decompress probe for the one lead shape.
+        assert sum(fused.fast_path_stats().values()) - before == 2
