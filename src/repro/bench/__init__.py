@@ -9,13 +9,11 @@ from repro.bench.runner import (
     BenchReport,
     CaseResult,
     Comparison,
-    ParallelResult,
     SpeedupResult,
     calibrate,
     compare,
     default_suite,
     load_baseline,
-    measure_parallel,
     measure_precision,
     measure_speedups,
     merge_reports,
@@ -23,7 +21,6 @@ from repro.bench.runner import (
     run_suite,
     DEFAULT_TOLERANCE,
     MIN_SPEEDUP,
-    PARALLEL_WORKERS,
     SCHEMA,
 )
 
@@ -32,13 +29,11 @@ __all__ = [
     "BenchReport",
     "CaseResult",
     "Comparison",
-    "ParallelResult",
     "SpeedupResult",
     "calibrate",
     "compare",
     "default_suite",
     "load_baseline",
-    "measure_parallel",
     "measure_precision",
     "measure_speedups",
     "merge_reports",
@@ -46,6 +41,5 @@ __all__ = [
     "run_suite",
     "DEFAULT_TOLERANCE",
     "MIN_SPEEDUP",
-    "PARALLEL_WORKERS",
     "SCHEMA",
 ]

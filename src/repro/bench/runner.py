@@ -51,10 +51,6 @@ MIN_SPEEDUP = 3.0
 # Ignore regressions on cases too fast to time reliably: below this many
 # seconds of absolute drift, scheduler noise dominates real signal.
 MIN_DELTA_S = 5e-4
-# Parallel speedup is machine-relative (worker threads on a 1-core CI
-# runner *cost* time); the gate compares against the committed baseline's
-# own measured ratio, tolerating up to a 2x relative slide.
-PARALLEL_SLIDE = 0.5
 # Accuracy is not machine-relative: a precision variant's NRMSE moving
 # more than this fraction past the baseline is a quality regression.
 NRMSE_SLIDE = 0.10
@@ -63,7 +59,6 @@ METHODS = ("dc", "ps", "sg")
 SIZES = (64, 256, 512)
 CFS = (2, 4, 7)
 SPEEDUP_N = 512
-PARALLEL_WORKERS = 2
 BATCH = 4
 
 
@@ -78,17 +73,14 @@ class BenchCase:
     s: int = 2
     batch: int = BATCH
     dtype: str = "float32"
-    workers: int = 1
 
     @property
     def key(self) -> str:
         key = f"{self.method}-n{self.n}-cf{self.cf}-{self.direction}"
-        # Suffixes only when non-default, so pre-existing baseline keys
-        # (all float32, serial) are unchanged.
+        # Suffix only when non-default, so pre-existing baseline keys
+        # (all float32) are unchanged.
         if self.dtype != "float32":
             key += f"-{self.dtype}"
-        if self.workers != 1:
-            key += f"-w{self.workers}"
         return key
 
     def to_dict(self) -> dict:
@@ -100,7 +92,6 @@ class BenchCase:
             "s": self.s,
             "batch": self.batch,
             "dtype": self.dtype,
-            "workers": self.workers,
         }
 
 
@@ -129,14 +120,12 @@ class CaseResult:
 
 
 def default_suite() -> list[BenchCase]:
-    """The full grid plus the parallel and float64 rider cases.
+    """The full grid plus the float64 rider case.
 
     The grid is 3 methods x 3 sizes x 3 CFs x 2 directions, all float32
-    and serial — their keys match pre-existing baselines.  The riders
-    time the new execution modes at one representative configuration:
-    the thread-pool fan-out (``workers=2``, both directions) and the
+    — their keys match pre-existing baselines.  The rider times the
     float64 ingestion path (cast-to-float32 contract; see
-    ``repro.core.fused._ingest``).
+    ``repro.core.fused._ingest``) at one representative configuration.
     """
     cases = []
     for method in METHODS:
@@ -144,8 +133,6 @@ def default_suite() -> list[BenchCase]:
             for cf in CFS:
                 for direction in ("compress", "decompress"):
                     cases.append(BenchCase(method, n, cf, direction))
-    for direction in ("compress", "decompress"):
-        cases.append(BenchCase("dc", 256, 4, direction, workers=PARALLEL_WORKERS))
     cases.append(BenchCase("dc", 256, 4, "compress", dtype="float64"))
     return cases
 
@@ -167,8 +154,6 @@ def hash_tag(case: BenchCase) -> int:
     # cases keep their seeds (and therefore their checksums).
     if case.dtype != "float32":
         parts.append(case.dtype)
-    if case.workers != 1:
-        parts.append(f"w{case.workers}")
     for part in parts:
         for ch in part:
             tag = (tag * 131 + ord(ch)) % (2**31)
@@ -208,10 +193,7 @@ def _time_fn(fn, arg, repeats: int, warmup: int = 1) -> list[float]:
 
 def run_case(case: BenchCase, *, seed: int = 0, repeats: int = 5) -> CaseResult:
     """Time one case; runs it twice to assert in-process determinism."""
-    comp = make_compressor(
-        case.n, method=case.method, cf=case.cf, s=case.s,
-        workers=case.workers if case.workers != 1 else None,
-    )
+    comp = make_compressor(case.n, method=case.method, cf=case.cf, s=case.s)
     raw = _case_input(case, seed)
     # Non-float32 cases hand the compressor the raw ndarray so the
     # per-call ingestion cast (the Tensor library is float32-native) is
@@ -323,80 +305,6 @@ def measure_speedups(
     return results
 
 
-@dataclass
-class ParallelResult:
-    """Serial vs thread-pool fast path at one ``(n, cf, workers)``."""
-
-    n: int
-    cf: int
-    workers: int
-    serial_median_s: float
-    parallel_median_s: float
-    identical: bool  # parallel output ≡ dense oracle, bitwise
-
-    @property
-    def speedup(self) -> float:
-        if not self.parallel_median_s:
-            return 0.0
-        return self.serial_median_s / self.parallel_median_s
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "cf": self.cf,
-            "workers": self.workers,
-            "serial_median_s": self.serial_median_s,
-            "parallel_median_s": self.parallel_median_s,
-            "speedup": self.speedup,
-            "identical": self.identical,
-        }
-
-
-def measure_parallel(
-    *,
-    n: int = SPEEDUP_N,
-    cfs=CFS,
-    workers: int = PARALLEL_WORKERS,
-    seed: int = 0,
-    repeats: int = 5,
-) -> list[ParallelResult]:
-    """Serial tiled vs ``workers``-way fan-out at the marquee resolution.
-
-    Bit-identity against the **dense oracle** is re-checked on the timed
-    inputs and is a hard :func:`compare` failure when broken.  The
-    speedup itself is machine-relative — worker threads on fewer cores
-    than ``workers`` cost time rather than saving it — so :func:`compare`
-    gates it against the committed baseline's own measured ratio
-    (``PARALLEL_SLIDE``), not an absolute floor.
-    """
-    if workers < 2:
-        raise ConfigError(f"parallel section needs workers >= 2, got {workers}")
-    results = []
-    for cf in cfs:
-        serial = make_compressor(n, method="dc", cf=cf, fast=True, workers=1)
-        fanned = make_compressor(n, method="dc", cf=cf, fast=True, workers=workers)
-        dense = make_compressor(n, method="dc", cf=cf, fast=False)
-        case = BenchCase("dc", n, cf, "compress", workers=workers)
-        x = Tensor(_case_input(case, seed))
-        with no_grad():
-            identical = np.array_equal(
-                fanned.compress(x).data, dense.compress(x).data
-            )
-        serial_times = _time_fn(serial.compress, x, repeats)
-        parallel_times = _time_fn(fanned.compress, x, repeats)
-        results.append(
-            ParallelResult(
-                n=n,
-                cf=cf,
-                workers=workers,
-                serial_median_s=_percentile(serial_times, 50),
-                parallel_median_s=_percentile(parallel_times, 50),
-                identical=identical,
-            )
-        )
-    return results
-
-
 def measure_precision(
     *, n: int = 256, cf: int = 4, seed: int = 0, repeats: int = 5
 ) -> list[dict]:
@@ -445,19 +353,11 @@ class BenchReport:
     speedups: list[SpeedupResult]
     min_speedup: float = MIN_SPEEDUP
     env: dict = field(default_factory=dict)
-    parallel: list[ParallelResult] = field(default_factory=list)
     precision: list[dict] = field(default_factory=list)
 
     @property
     def median_speedup(self) -> float:
         values = sorted(s.speedup for s in self.speedups)
-        if not values:
-            return 0.0
-        return float(np.median(values))
-
-    @property
-    def median_parallel_speedup(self) -> float:
-        values = sorted(p.speedup for p in self.parallel)
         if not values:
             return 0.0
         return float(np.median(values))
@@ -470,11 +370,9 @@ class BenchReport:
             "calibration_s": self.calibration_s,
             "min_speedup": self.min_speedup,
             "median_speedup": self.median_speedup,
-            "median_parallel_speedup": self.median_parallel_speedup,
             "env": self.env,
             "cases": [c.to_dict() for c in self.cases],
             "speedups": [s.to_dict() for s in self.speedups],
-            "parallel": [p.to_dict() for p in self.parallel],
             "precision": list(self.precision),
         }
 
@@ -500,15 +398,13 @@ def run_suite(
     seed: int = 0,
     repeats: int = 5,
     speedup_cfs=CFS,
-    workers: int = PARALLEL_WORKERS,
 ) -> BenchReport:
-    """Run the micro-benchmark suite plus the speedup, parallel fan-out
-    and precision-curve sections (all at the marquee n=512 / n=256)."""
+    """Run the micro-benchmark suite plus the speedup and precision-curve
+    sections (at the marquee n=512 / n=256)."""
     if cases is None:
         cases = default_suite()
     results = [run_case(c, seed=seed, repeats=repeats) for c in cases]
     speedups = measure_speedups(cfs=speedup_cfs, seed=seed, repeats=repeats)
-    par = measure_parallel(cfs=speedup_cfs, workers=workers, seed=seed, repeats=repeats)
     prec = measure_precision(seed=seed, repeats=repeats)
     return BenchReport(
         seed=seed,
@@ -517,7 +413,6 @@ def run_suite(
         cases=results,
         speedups=speedups,
         env=current_env(),
-        parallel=par,
         precision=prec,
     )
 
@@ -533,8 +428,8 @@ def merge_reports(reports: list[BenchReport]) -> dict:
     calibration (the gate compares normalised values, so the envelope
     must be taken in normalised space — a raw-seconds max understates
     the envelope whenever the slowest run also had slow calibration).
-    Medians take the median, and the ratio sections (speedup/parallel)
-    take per-entry medians.  Checksums and bit-identity must agree
+    Medians take the median, and the speedup section takes per-entry
+    medians.  Checksums and bit-identity must agree
     across runs — divergence there is nondeterminism, not noise.
     """
     if not reports:
@@ -565,13 +460,6 @@ def merge_reports(reports: list[BenchReport]) -> dict:
         entry["dense_median_s"] = _median([r["dense_median_s"] for r in runs])
         entry["fast_median_s"] = _median([r["fast_median_s"] for r in runs])
         entry["speedup"] = entry["dense_median_s"] / entry["fast_median_s"]
-    for i, entry in enumerate(merged["parallel"]):
-        runs = [d["parallel"][i] for d in dicts]
-        if not all(r["identical"] for r in runs):
-            raise ConfigError("parallel path diverged from dense during baseline runs")
-        entry["serial_median_s"] = _median([r["serial_median_s"] for r in runs])
-        entry["parallel_median_s"] = _median([r["parallel_median_s"] for r in runs])
-        entry["speedup"] = entry["serial_median_s"] / entry["parallel_median_s"]
     for i, row in enumerate(merged["precision"]):
         runs = [d["precision"][i] for d in dicts]
         if any(abs(r["nrmse"] - row["nrmse"]) > 1e-12 for r in runs):
@@ -581,9 +469,6 @@ def merge_reports(reports: list[BenchReport]) -> dict:
         row["median_s"] = _median([r["median_s"] for r in runs])
     merged["calibration_s"] = cal
     merged["median_speedup"] = _median([s["speedup"] for s in merged["speedups"]])
-    merged["median_parallel_speedup"] = _median(
-        [p["speedup"] for p in merged["parallel"]]
-    ) if merged["parallel"] else 0.0
     return merged
 
 
@@ -629,14 +514,12 @@ def compare(
         return out
 
     def _base_key(c: dict) -> str:
-        # Mirror BenchCase.key, including the rider suffixes — without
-        # them the w2/float64 rider entries would collide with (and
-        # shadow) the plain grid entry of the same configuration.
+        # Mirror BenchCase.key, including the rider suffix — without it
+        # the float64 rider entry would collide with (and shadow) the
+        # plain grid entry of the same configuration.
         key = f"{c['method']}-n{c['n']}-cf{c['cf']}-{c['direction']}"
         if c.get("dtype", "float32") != "float32":
             key += f"-{c['dtype']}"
-        if c.get("workers", 1) != 1:
-            key += f"-w{c['workers']}"
         return key
 
     base_cases = {_base_key(c): c for c in baseline.get("cases", [])}
@@ -685,33 +568,6 @@ def compare(
             f"median fast-path speedup: {report.median_speedup:.2f}x at "
             f"n={SPEEDUP_N} below the {floor:.1f}x floor"
         )
-
-    # Parallel fan-out: bit-identity is absolute; the speedup is gated
-    # against the baseline's own measured ratio (a 1-core runner shows
-    # < 1x on both sides and still passes; losing more than half the
-    # baseline's ratio on the same machine class is a regression).
-    base_parallel = {
-        (p["n"], p["cf"], p["workers"]): p for p in baseline.get("parallel", [])
-    }
-    for p in report.parallel:
-        if not p.identical:
-            out.failures.append(
-                f"parallel n={p.n} cf={p.cf} w={p.workers}: "
-                f"output differs from dense oracle"
-            )
-        base = base_parallel.get((p.n, p.cf, p.workers))
-        if base is None:
-            out.warnings.append(
-                f"parallel n={p.n} cf={p.cf} w={p.workers}: no baseline entry"
-            )
-            continue
-        base_speedup = float(base.get("speedup", 0.0))
-        if base_speedup > 0 and p.speedup < base_speedup * PARALLEL_SLIDE:
-            out.regressions.append(
-                f"parallel n={p.n} cf={p.cf} w={p.workers}: speedup "
-                f"{p.speedup:.2f}x below baseline {base_speedup:.2f}x "
-                f"(> {1 - PARALLEL_SLIDE:.0%} slide)"
-            )
 
     # Precision curve: accuracy is machine-independent — NRMSE sliding
     # past the baseline means the variant got *less accurate*, which no

@@ -195,7 +195,7 @@ def _bench_suite(args) -> int:
             print("--refresh needs --out to write the merged baseline", file=sys.stderr)
             return 1
         reports = [
-            bench.run_suite(seed=args.seed, repeats=args.repeats, workers=args.workers)
+            bench.run_suite(seed=args.seed, repeats=args.repeats)
             for _ in range(args.refresh)
         ]
         merged = bench.merge_reports(reports)
@@ -204,14 +204,11 @@ def _bench_suite(args) -> int:
             fh.write("\n")
         print(
             f"merged {args.refresh} suite runs -> {args.out} "
-            f"(median speedup {merged['median_speedup']:.2f}x, "
-            f"parallel {merged['median_parallel_speedup']:.2f}x)"
+            f"(median speedup {merged['median_speedup']:.2f}x)"
         )
         return 0
 
-    report = bench.run_suite(
-        seed=args.seed, repeats=args.repeats, workers=args.workers
-    )
+    report = bench.run_suite(seed=args.seed, repeats=args.repeats)
     print(
         f"bench suite: {len(report.cases)} cases, seed={report.seed}, "
         f"repeats={report.repeats}, calibration {report.calibration_s * 1e3:.3f} ms"
@@ -223,17 +220,6 @@ def _bench_suite(args) -> int:
             f" -> fast {s.fast_median_s * 1e3:.2f} ms ({s.speedup:.1f}x){marker}"
         )
     print(f"  median fast-path speedup at n=512: {report.median_speedup:.2f}x")
-    for p in report.parallel:
-        marker = "" if p.identical else "  [OUTPUT MISMATCH]"
-        print(
-            f"  n={p.n} cf={p.cf} parallel w={p.workers}: serial "
-            f"{p.serial_median_s * 1e3:.2f} ms -> "
-            f"{p.parallel_median_s * 1e3:.2f} ms ({p.speedup:.2f}x){marker}"
-        )
-    print(
-        f"  median parallel speedup at n=512 (w={args.workers}): "
-        f"{report.median_parallel_speedup:.2f}x"
-    )
     for row in report.precision:
         print(
             f"  precision {row['name']}: ratio {row['ratio']:.1f}x "
@@ -261,9 +247,7 @@ def _bench_suite(args) -> int:
             f"bench: {len(result.regressions)} timing regression(s); "
             "re-running suite once to confirm"
         )
-        rerun = bench.run_suite(
-            seed=args.seed, repeats=args.repeats, workers=args.workers
-        )
+        rerun = bench.run_suite(seed=args.seed, repeats=args.repeats)
         confirm = bench.compare(rerun, baseline, tolerance=args.tolerance)
         confirmed_keys = {line.split(":", 1)[0] for line in confirm.regressions}
         result.regressions = [
@@ -998,12 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.25,
         help="allowed normalised-median slowdown vs baseline (suite mode)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="thread-pool width for the parallel fan-out section (suite mode)",
     )
     p.add_argument(
         "--refresh",

@@ -47,7 +47,6 @@ from repro.core.fused import (
     has_nonfinite,
 )
 from repro.core.arena import Arena
-from repro.core.parallel import cpu_workers, get_workers, set_workers
 from repro.core.padded import PaddedCompressor, AdaptiveCompressor
 from repro.core.autotune import (
     select_cf,
@@ -100,9 +99,6 @@ __all__ = [
     "fast_path_stats",
     "has_nonfinite",
     "Arena",
-    "cpu_workers",
-    "get_workers",
-    "set_workers",
     "PaddedCompressor",
     "AdaptiveCompressor",
     "select_cf",

@@ -17,7 +17,6 @@ import threading
 from collections import OrderedDict
 from typing import Protocol, runtime_checkable
 
-from repro.core import parallel as parallel_mod
 from repro.core.chop import DCTChopCompressor
 from repro.core.dct import DEFAULT_BLOCK
 from repro.core.scatter_gather import ScatterGatherCompressor
@@ -56,14 +55,13 @@ def make_compressor(
     s: int = 2,
     block: int = DEFAULT_BLOCK,
     fast: bool | str | None = None,
-    workers: int | None = None,
 ) -> Compressor:
     """The compiled compressor for one configuration, shared per process.
 
     Operands are computed "offline ... during compilation" (Sec. 3.3), so
     a process pays construction and the seeded equivalence probes once
-    per normalised ``(height, width, method, cf, s, block, fast,
-    workers)``: every call with the same configuration returns the same
+    per normalised ``(height, width, method, cf, s, block, fast)``: every
+    call with the same configuration returns the same
     instance from a bounded LRU (128 entries; :func:`clear_cache` drops
     them).  Shared instances are immutable — their operands are
     read-only and nothing may set attributes on them; only their probe
@@ -82,14 +80,7 @@ def make_compressor(
         the measured execution plan for this workload
         (:func:`repro.core.autotune.planned` — the first build per
         ``(shape, cf, block)`` runs a short timing scan) and applies its
-        fast-vs-dense and worker-count verdict; an explicit ``workers=``
-        still wins over the planned count.
-    workers:
-        Fast-path thread fan-out: ``None`` follows the global default
-        (:func:`repro.core.parallel.set_workers`, off by default), ``1``
-        forces serial, ``0`` means every visible CPU.  Parallel results
-        are probe-verified bit-identical to the dense oracle per
-        ``(shape, dtype, workers)`` — see :mod:`repro.core.parallel`.
+        fast-vs-dense verdict.
 
     Degenerate configurations — non-integral or non-positive sizes,
     ``cf > block``, ``s`` not dividing the resolution, resolutions that
@@ -109,10 +100,6 @@ def make_compressor(
     block = require_int("block", block)
     # Only PS subdivides; the other methods ignore ``s`` and share one key.
     s = require_int("subdivision factor s", s) if method == "ps" else None
-    if workers is not None:
-        workers = require_int("workers", workers, minimum=0)
-        if workers == 0:
-            workers = parallel_mod.cpu_workers()
     if fast == "auto":
         from repro.core import autotune
 
@@ -121,8 +108,6 @@ def make_compressor(
         plan_h, plan_w = (height // s, width // s) if method == "ps" else (height, width)
         plan = autotune.planned(plan_h, plan_w, cf=cf, block=block)
         fast = plan.fast
-        if workers is None:
-            workers = plan.workers
     elif isinstance(fast, str):
         raise ConfigError(f'fast must be True, False, None, or "auto", got {fast!r}')
     fast = None if fast is None else bool(fast)
@@ -130,12 +115,12 @@ def make_compressor(
     def build() -> Compressor:
         if method == "ps":
             return PartialSerializedCompressor(
-                height, width, cf=cf, s=s, block=block, fast=fast, workers=workers
+                height, width, cf=cf, s=s, block=block, fast=fast
             )
         cls = DCTChopCompressor if method == "dc" else ScatterGatherCompressor
-        return cls(height, width, cf=cf, block=block, fast=fast, workers=workers)
+        return cls(height, width, cf=cf, block=block, fast=fast)
 
-    return _cache.get_or_build((height, width, method, cf, s, block, fast, workers), build)
+    return _cache.get_or_build((height, width, method, cf, s, block, fast), build)
 
 
 # Installed serving layer (duck-typed to avoid a core -> serve import;

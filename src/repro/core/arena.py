@@ -1,9 +1,9 @@
 """Preallocated buffer arena: the zero-allocation steady state.
 
-The nd fast-path kernels (:func:`repro.core.fused.tiled_compress_nd` and
-friends) write every intermediate and their output through ``out=``
-buffers.  With no arena active they allocate those buffers per call —
-exactly what the Tensor kernels did.  With an arena active (``with
+The tiled kernels (:func:`repro.core.fused.tiled_compress_nd` and
+:func:`~repro.core.fused.tiled_decompress_nd`) write every intermediate
+and their output through ``out=`` buffers.  With no arena active they
+allocate those buffers per call.  With an arena active (``with
 arena.use(): ...``) buffers are keyed by ``(tag, shape, dtype)`` and
 reused across calls, so a steady-state serving loop that sees the same
 request shape repeatedly performs **zero per-request array allocations**
@@ -24,9 +24,10 @@ Two buffer classes, because their lifetimes differ:
 Activation is **thread-local and off by default**: without an explicit
 ``use()`` the kernels behave exactly as before (fresh allocations,
 bit-identical replay).  One :class:`Arena` must not be active on two
-threads at once — buffers are shared scratch.  The parallel fast path is
-safe *within* one call: worker spans write disjoint slices of the same
-arena buffers handed out by the coordinating thread.
+threads at once — buffers are shared scratch.  Gradient-carrying calls
+bypass the arena (see :class:`repro.core.fused.TiledCompress`): their
+outputs live on the autograd tape, where a reused ring slot would
+overwrite a live value.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def bypass():
 
 
 class Arena:
-    """Keyed preallocated buffers for the nd fast-path kernels."""
+    """Keyed preallocated buffers for the tiled kernels."""
 
     def __init__(self, slots: int = 2) -> None:
         if slots < 1:

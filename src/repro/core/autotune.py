@@ -8,13 +8,10 @@ chop is an orthogonal projection, reconstruction error is monotone in CF,
 so a simple ascending scan is exact.
 
 The second half plans *execution*: for one ``(n, cf, dtype)`` workload,
-:func:`plan_execution` measures the dense oracle, the serial tiled fast
-path, and the parallel fast path at candidate worker counts on seeded
-synthetic samples, then picks the fastest.  The winning configuration —
-fast-vs-dense, worker count, and the resulting per-span tile rows (the M
-dimension each worker's skinny GEMM sees) — is returned as an
-:class:`ExecutionPlan` and cached, which is what ``fast="auto"`` in
-:func:`repro.core.api.make_compressor` consumes.  Measurements use the
+:func:`plan_execution` measures the dense oracle and the tiled fast path
+on seeded synthetic samples, then picks the faster.  The verdict is
+returned as an :class:`ExecutionPlan` and cached, which is what
+``fast="auto"`` in :func:`repro.core.api.make_compressor` consumes.  Measurements use the
 real compressors, so a shape whose equivalence probe pins it to dense is
 timed as dense — the plan never promises a path the bit-identity
 contract would refuse.
@@ -28,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import parallel as parallel_mod
 from repro.core.api import Compressor, make_compressor
 from repro.core.dct import DEFAULT_BLOCK
 from repro.core.metrics import nrmse, psnr
@@ -111,17 +107,11 @@ def build_for_target(
 
 
 # ----------------------------------------------------------------------
-# Execution planning (fast-vs-dense, worker count, tile shape)
+# Execution planning (fast vs dense)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """Measured execution choice for one ``(n, cf, dtype)`` workload.
-
-    ``span_rows`` is the tile-row count each worker span receives at the
-    chosen worker count — i.e. the M dimension of each worker's first
-    skinny GEMM is ``span_rows * block * nbw`` (see
-    :func:`repro.core.parallel.span_partition`).
-    """
+    """Measured execution choice for one ``(n, cf, dtype)`` workload."""
 
     height: int
     width: int
@@ -129,13 +119,11 @@ class ExecutionPlan:
     block: int
     dtype: str
     fast: bool
-    workers: int  # 1 == serial
-    span_rows: int
     samples: dict = field(default_factory=dict, compare=False)  # label -> median s
 
     @property
     def label(self) -> str:
-        return "dense" if not self.fast else f"fast@{self.workers}"
+        return "fast" if self.fast else "dense"
 
 
 def _plan_sample(height: int, width: int, batch: int, dtype, seed: int) -> np.ndarray:
@@ -162,59 +150,34 @@ def plan_execution(
     block: int = DEFAULT_BLOCK,
     dtype=np.float32,
     batch: int = 4,
-    worker_candidates: tuple[int, ...] | None = None,
     repeats: int = 3,
     seed: int = 1234,
 ) -> ExecutionPlan:
-    """Measure candidate execution configs and return the fastest.
+    """Measure the dense oracle and the fast path; return the faster.
 
-    Candidates are the dense oracle, the serial fast path, and the fast
-    path at each count in ``worker_candidates`` (default: 2 and the
-    visible CPU count, deduplicated).  Each candidate times the *real*
-    compressor — probe pinning, dispatch fallbacks and all — on a seeded
-    synthetic batch, so the verdict reflects what serving traffic would
-    actually run.
+    Each candidate times the *real* compressor — probe pinning, dispatch
+    fallbacks and all — on a seeded synthetic batch, so the verdict
+    reflects what serving traffic would actually run.
     """
     height = require_int("height", height)
     width = height if width is None else require_int("width", width)
     repeats = require_int("repeats", repeats)
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    if worker_candidates is None:
-        worker_candidates = tuple(
-            sorted({2, parallel_mod.cpu_workers()} - {1})
-        )
-    for w in worker_candidates:
-        if int(w) < 2:
-            raise ConfigError(f"worker candidates must be >= 2, got {w}")
     x = _plan_sample(height, width, batch, dtype, seed)
 
     samples: dict[str, float] = {}
     dense = make_compressor(height, width, cf=cf, block=block, fast=False)
     samples["dense"] = _median_time(dense.compress, x, repeats)
-    serial = make_compressor(height, width, cf=cf, block=block, fast=True)
-    samples["fast@1"] = _median_time(serial.compress, x, repeats)
-    for w in worker_candidates:
-        comp = make_compressor(
-            height, width, cf=cf, block=block, fast=True, workers=int(w)
-        )
-        samples[f"fast@{int(w)}"] = _median_time(comp.compress, x, repeats)
-
-    best = min(samples, key=samples.get)
-    fast = best != "dense"
-    workers = 1 if not fast else int(best.split("@", 1)[1])
-    rows = x.shape[0] * (height // block)
-    spans = parallel_mod.span_partition(rows, workers)
-    span_rows = max(hi - lo for lo, hi in spans) if spans else rows
+    fast = make_compressor(height, width, cf=cf, block=block, fast=True)
+    samples["fast"] = _median_time(fast.compress, x, repeats)
     return ExecutionPlan(
         height=height,
         width=width,
         cf=cf,
         block=block,
         dtype=np.dtype(dtype).str,
-        fast=fast,
-        workers=workers,
-        span_rows=span_rows,
+        fast=samples["fast"] < samples["dense"],
         samples=samples,
     )
 

@@ -27,13 +27,12 @@ import repro.tensor as rt
 from repro.core import arena as arena_mod
 from repro.core import flops as flops_mod
 from repro.core import fused
-from repro.core import parallel as parallel_mod
 from repro.core.dct import DEFAULT_BLOCK, block_diagonal_dct
 from repro.core.mask import chop_mask
 from repro.errors import ConfigError, ShapeError, require_int
 from repro.faults.injector import suspend_faults
 from repro.obs.profile import profiled
-from repro.tensor import Tensor, is_grad_enabled, no_grad
+from repro.tensor import Tensor, no_grad
 
 # Probe verdicts cached per compressor; bounded so a pathological caller
 # cycling through batch shapes cannot grow it without limit.
@@ -77,13 +76,6 @@ class DCTChopCompressor:
         shape only uses the fast path after a seeded equivalence probe
         proves it bit-identical to the dense oracle — see
         :mod:`repro.core.fused`.
-    workers:
-        Fast-path thread-pool override: ``None`` (default) follows the
-        global :func:`repro.core.parallel.set_workers` setting, ``1``
-        forces serial execution, ``>= 2`` fans tile-row spans across
-        that many pool threads.  Parallel execution is probed per
-        ``(shape, dtype, workers)`` like everything else — a divergent
-        combination falls back to the serial fast path, then dense.
     """
 
     method = "dc"
@@ -97,7 +89,6 @@ class DCTChopCompressor:
         block: int = DEFAULT_BLOCK,
         transform: np.ndarray | None = None,
         fast: bool | None = None,
-        workers: int | None = None,
     ) -> None:
         height = require_int("height", height)
         width = height if width is None else require_int("width", width)
@@ -114,11 +105,6 @@ class DCTChopCompressor:
         self.cf = cf
         self.block = block
         self._fast = fast
-        if workers is not None:
-            workers = require_int("workers", workers, minimum=0)
-            if workers == 0:
-                workers = parallel_mod.cpu_workers()
-        self._workers = workers
 
         # "Computed offline ... during compilation" (Section 3.3).
         # Forward (per block): D = T A T^T; inverse: A = S D S^T with
@@ -164,11 +150,9 @@ class DCTChopCompressor:
                 self.block, self.cf,
             )
         self._fops = ops
-        self._enc_r = Tensor(ops.enc_r)
-        self._enc_lT = Tensor(ops.enc_lT)
-        self._dec_r = Tensor(ops.dec_r)
-        self._dec_lT = Tensor(ops.dec_lT)
-        # (direction, lead shape, dtype[, workers]) -> probe verdict
+        # Backward of either direction runs the other kernel with these.
+        self._adj = fused.adjoint(ops)
+        # (direction, lead shape, dtype) -> probe verdict
         # (True = fast ok).  The lock serializes probe-and-insert: without
         # it, concurrent first-calls on one shape probe twice and racing
         # inserts can evict live verdicts mid-update.
@@ -230,44 +214,30 @@ class DCTChopCompressor:
     # ------------------------------------------------------------------
     # Fast-path dispatch (see repro.core.fused for the full story)
     # ------------------------------------------------------------------
-    def _use_fast(
-        self, shape: tuple[int, ...], dtype, direction: str, workers: int = 1
-    ) -> bool:
+    def _use_fast(self, shape: tuple[int, ...], dtype, direction: str) -> bool:
         """Whether this exact call shape runs the tiled kernels.
 
         True only when the fast path is enabled *and* the seeded
         equivalence probe has proven this ``(direction, batch, dtype)``
-        (plus ``workers`` when parallel) bit-identical to the dense
-        oracle.  Verdicts are cached (bounded).  The lock is held across
-        the probe itself so concurrent first-calls on one shape cannot
-        probe it twice.
+        bit-identical to the dense oracle.  Verdicts are cached (bounded).
+        The lock is held across the probe itself so concurrent first-calls
+        on one shape cannot probe it twice.
         """
         if not fused.fast_path_active(self._fast):
             return False
         key = (direction, shape[:-2], np.dtype(dtype).str)
-        if workers > 1:
-            key = key + (workers,)
         with self._verdict_lock:
             verdict = self._verdicts.get(key)
             if verdict is None:
-                verdict = self._probe(direction, shape, dtype, workers)
+                verdict = self._probe(direction, shape, dtype)
                 fused.record_probe(verdict)
                 while len(self._verdicts) >= _VERDICT_CAP:
                     self._verdicts.popitem(last=False)
                 self._verdicts[key] = verdict
         return verdict
 
-    def _probe(
-        self, direction: str, shape: tuple[int, ...], dtype, workers: int = 1
-    ) -> bool:
+    def _probe(self, direction: str, shape: tuple[int, ...], dtype) -> bool:
         """Run dense and tiled on seeded data of this shape; compare bytes.
-
-        A serial verdict (``workers == 1``) certifies *both* tiled kernel
-        families — the autograd Tensor kernels and the ``out=``-buffer nd
-        kernels — against the dense oracle, since dispatch may use either
-        depending on gradient state and armed guards.  A parallel verdict
-        certifies the nd kernels at exactly that worker count (the only
-        parallel execution there is).
 
         Runs with fault injection suspended: a scripted SDC flip landing in
         the probe's tiled leg would fail the comparison and wrongly pin the
@@ -281,91 +251,43 @@ class DCTChopCompressor:
             t = Tensor(data, dtype=data.dtype)
             if direction == "compress":
                 dense = self._compress_dense(t).data
-                legs = [self._compress_tiled(t).data] if workers == 1 else []
-                legs.append(
-                    fused.tiled_compress_nd(t.data, self._fops, workers=workers)
-                )
+                tiled = self._compress_tiled(t).data
             else:
                 dense = self._decompress_dense(t).data
-                legs = [self._decompress_tiled(t).data] if workers == 1 else []
-                legs.append(
-                    fused.tiled_decompress_nd(
-                        t.data, self._fops,
-                        self.height // self.block, self.width // self.block,
-                        workers=workers,
-                    )
-                )
-        return all(np.array_equal(dense, leg) for leg in legs)
-
-    def _dispatch_fast(
-        self, shape: tuple[int, ...], dtype, direction: str, use_nd: bool
-    ) -> int | None:
-        """Resolve one call's execution: worker count, or ``None`` = dense.
-
-        Parallel execution only exists on the nd kernels, so the worker
-        count collapses to 1 whenever they are ineligible.  A failed
-        parallel probe falls back to the (probed) serial fast path before
-        giving up and going dense.
-        """
-        workers = parallel_mod.resolve_workers(self._workers) if use_nd else 1
-        if self._use_fast(shape, dtype, direction, workers):
-            return workers
-        if workers > 1 and self._use_fast(shape, dtype, direction, 1):
-            return 1
-        return None
+                tiled = self._decompress_tiled(t).data
+        return np.array_equal(dense, tiled)
 
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
+    # NaN/Inf inputs are contractual on the dense oracle (see fused.py),
+    # so its ``0 * inf`` products stay silent.
     def _compress_dense(self, x: Tensor) -> Tensor:
-        return rt.matmul(self._lhs, rt.matmul(x, self._rhs))
-
-    def _compress_tiled(self, x: Tensor, *, blocks: bool = False) -> Tensor:
-        return fused.tiled_compress(
-            x, self._enc_r, self._enc_lT, self.block, self.cf, blocks=blocks
-        )
+        with np.errstate(invalid="ignore"):
+            return rt.matmul(self._lhs, rt.matmul(x, self._rhs))
 
     def _decompress_dense(self, y: Tensor) -> Tensor:
-        return rt.matmul(self._rhs_d, rt.matmul(y, self._lhs_d))
+        with np.errstate(invalid="ignore"):
+            return rt.matmul(self._rhs_d, rt.matmul(y, self._lhs_d))
+
+    def _compress_tiled(self, x: Tensor, *, blocks: bool = False) -> Tensor:
+        return fused.TiledCompress.apply(x, ops=self._fops, adj=self._adj, blocks=blocks)
 
     def _decompress_tiled(self, y: Tensor, *, from_blocks: bool = False) -> Tensor:
-        return fused.tiled_decompress(
-            y, self._dec_r, self._dec_lT, self.block, self.cf,
-            self.height // self.block, self.width // self.block,
+        return fused.TiledDecompress.apply(
+            y, ops=self._fops, adj=self._adj,
+            nbh=self.height // self.block, nbw=self.width // self.block,
             from_blocks=from_blocks,
         )
 
-    def _grad_carrying(self, t: Tensor) -> bool:
-        return is_grad_enabled() and t.requires_grad
-
-    def _compress_nd(self, x: Tensor, workers: int, *, blocks: bool = False) -> Tensor:
-        return Tensor(
-            fused.tiled_compress_nd(x.data, self._fops, blocks=blocks, workers=workers)
-        )
-
-    def _decompress_nd(
-        self, y: Tensor, workers: int, *, from_blocks: bool = False
-    ) -> Tensor:
-        return Tensor(
-            fused.tiled_decompress_nd(
-                y.data, self._fops,
-                self.height // self.block, self.width // self.block,
-                from_blocks=from_blocks, workers=workers,
-            )
-        )
-
     @profiled("core.dc.compress", matmuls=2)
-    def _compress_tiled_blocks(self, x: Tensor, workers: int = 1) -> Tensor:
+    def _compress_tiled_blocks(self, x: Tensor) -> Tensor:
         """Blocks-layout tiled compress, profiled as the DC work it is."""
-        if not self._grad_carrying(x) and fused.nd_path_eligible():
-            return self._compress_nd(x, workers, blocks=True)
         return self._compress_tiled(x, blocks=True)
 
     @profiled("core.dc.decompress", matmuls=2)
-    def _decompress_tiled_blocks(self, y: Tensor, workers: int = 1) -> Tensor:
+    def _decompress_tiled_blocks(self, y: Tensor) -> Tensor:
         """Blocks-layout tiled decompress, profiled as the DC work it is."""
-        if not self._grad_carrying(y) and fused.nd_path_eligible():
-            return self._decompress_nd(y, workers, from_blocks=True)
         return self._decompress_tiled(y, from_blocks=True)
 
     @profiled("core.dc.compress", matmuls=2)
@@ -382,11 +304,9 @@ class DCTChopCompressor:
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
         self._check_plane(x.shape)
-        use_nd = not self._grad_carrying(x) and fused.nd_path_eligible()
-        workers = self._dispatch_fast(x.shape, x.dtype, "compress", use_nd)
-        if workers is None:
+        if not self._use_fast(x.shape, x.dtype, "compress"):
             return self._compress_dense(x)
-        result = self._compress_nd(x, workers) if use_nd else self._compress_tiled(x)
+        result = self._compress_tiled(x)
         if fused.has_nonfinite(result.data):
             return self._compress_dense(x)
         return result
@@ -401,13 +321,9 @@ class DCTChopCompressor:
                 f"{self.compressed_height}x{self.compressed_width}, got {y.shape}"
             )
         # The input *is* the small compressed side — check it directly.
-        if fused.has_nonfinite(y.data):
+        if fused.has_nonfinite(y.data) or not self._use_fast(y.shape, y.dtype, "decompress"):
             return self._decompress_dense(y)
-        use_nd = not self._grad_carrying(y) and fused.nd_path_eligible()
-        workers = self._dispatch_fast(y.shape, y.dtype, "decompress", use_nd)
-        if workers is None:
-            return self._decompress_dense(y)
-        return self._decompress_nd(y, workers) if use_nd else self._decompress_tiled(y)
+        return self._decompress_tiled(y)
 
     def roundtrip(self, x) -> Tensor:
         """Compress then decompress — the per-batch op used during training."""

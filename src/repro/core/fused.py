@@ -57,22 +57,24 @@ non-finite plane always yields non-finite retained coefficients — the
 *compressed-side* array (compress output / decompress input) is checked,
 which is ``cf^2/block^2`` of the plane data.
 
-Raw-ndarray (``_nd``) kernels
------------------------------
-:func:`tiled_compress_nd` / :func:`tiled_decompress_nd` are the same two
-skinny GEMMs expressed directly on ndarrays with ``out=`` buffers — with
-a single worker they issue byte-identical GEMMs in the same order as the
-Tensor kernels, while supporting the preallocated-buffer arena
-(:mod:`repro.core.arena`) and the thread-pool span fan-out
-(:mod:`repro.core.parallel`).  They bypass the autograd tape and the
-per-GEMM fault/ABFT hooks, so dispatch routes gradient-carrying calls
-and any call made while an injector or integrity policy is armed through
-the Tensor kernels instead (:func:`nd_path_eligible`).
+One kernel family
+-----------------
+:func:`tiled_compress_nd` / :func:`tiled_decompress_nd` are the only
+tiled kernels.  They write through ``out=`` buffers (the preallocated
+:mod:`repro.core.arena` when one is active) and issue both GEMMs through
+one hook, :func:`_gemm`, so the ``gemm`` SDC site and the ABFT checksum
+(:mod:`repro.integrity.abft`) guard the same path plain traffic runs.
+Training uses them too: :class:`TiledCompress` / :class:`TiledDecompress`
+wrap each direction as one autograd op whose backward is the *other*
+direction's kernel run with the transposed operators (:func:`adjoint`) —
+compression is linear, and Eq. 6 already transposes the operands, so for
+the DCT the adjoint operators are exactly the existing ones.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -81,7 +83,6 @@ import numpy as np
 
 import repro.tensor as rt
 from repro.core import arena as arena_mod
-from repro.core import parallel as parallel_mod
 from repro.errors import ConfigError
 from repro.faults.injector import active_injector, corrupt_buffer
 from repro.integrity import abft as _abft
@@ -140,8 +141,7 @@ def fast_path_active(override: bool | None = None) -> bool:
 # ----------------------------------------------------------------------
 _probe_stats = {"pass": 0, "fail": 0}
 # Guards the counters: += on a shared dict is a read-modify-write, and
-# concurrent probes (parallel hot path, threaded serving) would lose
-# updates without it.  The compressors' per-instance verdict locks
+# concurrent probes (threaded serving) would lose updates without it.  The compressors' per-instance verdict locks
 # serialize the probes themselves; this lock keeps the global tally
 # consistent across compressor instances.
 _probe_lock = threading.Lock()
@@ -232,6 +232,24 @@ def from_dense_operands(
     )
 
 
+def adjoint(ops: FusedOps) -> FusedOps:
+    """The operator pair of the transposed maps (read-only, contiguous).
+
+    Compress ``Y = L X R`` has adjoint ``dX = L^T dY R^T``, which is the
+    decompress kernel with ``dec_r = enc_r^T`` and ``dec_lT = enc_lT^T``;
+    symmetrically for decompress.  For the orthonormal DCT the result
+    equals ``ops`` itself; custom transforms get their true adjoint.
+    """
+    return FusedOps(
+        block=ops.block,
+        cf=ops.cf,
+        enc_r=_freeze(ops.dec_r.T),
+        enc_lT=_freeze(ops.dec_lT.T),
+        dec_r=_freeze(ops.enc_r.T),
+        dec_lT=_freeze(ops.enc_lT.T),
+    )
+
+
 _FUSED_CACHE_CAPACITY = 64
 _fused_cache: OrderedDict[tuple, FusedOps] = OrderedDict()
 _fused_lock = threading.RLock()
@@ -290,130 +308,32 @@ def fused_cache_size() -> int:
 # ----------------------------------------------------------------------
 # Tiled kernels
 # ----------------------------------------------------------------------
-def _mm(x2d: Tensor, op: Tensor) -> Tensor:
-    """One fast-path GEMM, routed through the integrity guards.
+def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """One tiled-kernel GEMM ``out = a @ b``, routed through the guards.
 
-    Gradient-carrying calls keep the autograd ``Tensor.matmul`` (training
-    must backprop through compression; ABFT would sever the tape).  All
-    other calls compute the product directly on the ``.data`` arrays —
-    byte-identical to ``Tensor.matmul``'s forward, so the probe-backed
-    bit-identity guarantee is untouched — which lets the SDC hook strike
-    the product buffer and, when guards are armed, the ABFT checksum
-    verify it (see :mod:`repro.integrity.abft`).
+    Plain ``np.matmul(out=)`` when nothing is armed.  An armed integrity
+    policy checks the product with ABFT (:mod:`repro.integrity.abft`);
+    an armed fault injector may strike it at the ``gemm`` SDC site.  The
+    product has the same shape and element order either way, so a seeded
+    flip lands on the same element whichever guard is armed.
     """
-    if is_grad_enabled() and (x2d.requires_grad or op.requires_grad):
-        return x2d.matmul(op)
     policy = _integrity._POLICY
     if policy is not None and policy.abft:
-        return Tensor(_abft.checked_matmul(x2d.data, op.data, policy=policy))
-    return Tensor(corrupt_buffer("gemm", np.matmul(x2d.data, op.data)))
-
-
-def tiled_compress(
-    x: Tensor,
-    enc_r: Tensor,
-    enc_lT: Tensor,
-    block: int,
-    cf: int,
-    *,
-    blocks: bool = False,
-) -> Tensor:
-    """``(..., H, W) -> (..., cf*nbh, cf*nbw)`` via two skinny GEMMs.
-
-    With ``blocks=True`` the output is the SG block layout
-    ``(..., nbh*nbw, cf*cf)`` instead — the same GEMMs, one fewer layout
-    shuffle than compress-then-reshuffle.
-
-    All steps are autograd :class:`~repro.tensor.Tensor` ops, so gradients
-    flow for activation compression exactly as on the dense path.
-    """
-    lead = x.shape[:-2]
-    nl = len(lead)
-    nbh = x.shape[-2] // block
-    nbw = x.shape[-1] // block
-    # (..., nbh, B, nbw, B): axes (a, b, c, d) after the lead dims.
-    z = x.reshape(*lead, nbh, block, nbw, block)
-    # Column transform: contract the in-block column axis (one GEMM, K=B).
-    z = _mm(z.reshape(-1, block), enc_r)
-    z = z.reshape(*lead, nbh, block, nbw, cf)
-    # Bring the in-block row axis last: (a, c, q, b).
-    z = z.transpose(*range(nl), nl, nl + 2, nl + 3, nl + 1)
-    # Row transform (second GEMM, K=B): -> (a, c, q, p).
-    z = _mm(z.reshape(-1, block), enc_lT)
-    z = z.reshape(*lead, nbh, nbw, cf, cf)
-    if blocks:
-        # (a, c, p, q) -> (..., nblocks, cf*cf), row-major within a block.
-        z = z.transpose(*range(nl), nl, nl + 1, nl + 3, nl + 2)
-        return z.reshape(*lead, nbh * nbw, cf * cf)
-    # (a, p, c, q) -> (..., cf*nbh, cf*nbw), the dense compressed layout.
-    z = z.transpose(*range(nl), nl, nl + 3, nl + 1, nl + 2)
-    return z.reshape(*lead, cf * nbh, cf * nbw)
-
-
-def tiled_decompress(
-    y: Tensor,
-    dec_r: Tensor,
-    dec_lT: Tensor,
-    block: int,
-    cf: int,
-    nbh: int,
-    nbw: int,
-    *,
-    from_blocks: bool = False,
-) -> Tensor:
-    """Inverse of :func:`tiled_compress` (``from_blocks`` takes SG layout)."""
-    lead = y.shape[:-2]
-    nl = len(lead)
-    if from_blocks:
-        # (..., nblocks, cf*cf) -> (a, c, p, q)
-        z = y.reshape(*lead, nbh, nbw, cf, cf)
-    else:
-        # (..., cf*nbh, cf*nbw) -> (a, p, c, q) -> (a, c, p, q)
-        z = y.reshape(*lead, nbh, cf, nbw, cf)
-        z = z.transpose(*range(nl), nl, nl + 2, nl + 1, nl + 3)
-    # Column inverse first — the dense path computes ``Y @ LHS_d`` first.
-    z = _mm(z.reshape(-1, cf), dec_r)
-    z = z.reshape(*lead, nbh, nbw, cf, block)
-    # (a, c, p, bc) -> (a, c, bc, p), then the row inverse.
-    z = z.transpose(*range(nl), nl, nl + 1, nl + 3, nl + 2)
-    z = _mm(z.reshape(-1, cf), dec_lT)
-    z = z.reshape(*lead, nbh, nbw, block, block)
-    # (a, c, bc, br) -> (a, br, c, bc) -> (..., H, W)
-    z = z.transpose(*range(nl), nl, nl + 3, nl + 1, nl + 2)
-    return z.reshape(*lead, nbh * block, nbw * block)
-
-
-# ----------------------------------------------------------------------
-# Raw-ndarray kernels: out= buffers, arena reuse, span fan-out
-# ----------------------------------------------------------------------
-def nd_path_eligible() -> bool:
-    """Whether the nd kernels may run right now.
-
-    They compute plain ``np.matmul`` without the per-GEMM fault/ABFT
-    routing and without the autograd tape, so they step aside while an
-    injector or integrity policy is armed (gradient-carrying calls are
-    the caller's check — tensors know, this module doesn't).
-    """
-    return _integrity._POLICY is None and active_injector() is None
+        np.copyto(out, _abft.checked_matmul(a, b, policy=policy))
+        return
+    np.matmul(a, b, out=out)
+    if active_injector() is not None:
+        struck = corrupt_buffer("gemm", out)
+        if struck is not out:
+            np.copyto(out, struck)
 
 
 def _ingest(arr: np.ndarray) -> np.ndarray:
-    """Mirror the Tensor kernels' ingestion: contiguous, f64 -> f32.
-
-    Every :class:`~repro.tensor.Tensor` op casts float64 results to the
-    library's float32 default, so the Tensor tiled kernels never run a
-    float64 GEMM; the nd kernels must do the same to stay byte-identical.
-    """
+    """Contiguous, with float64 cast to the library's float32 default
+    (the Tensor library never runs a float64 GEMM either)."""
     if arr.dtype == np.float64:
         arr = arr.astype(_DEFAULT_DTYPE)
     return np.ascontiguousarray(arr)
-
-
-def _lead_rows(shape: tuple[int, ...], nbh: int) -> int:
-    planes = 1
-    for d in shape[:-2]:
-        planes *= int(d)
-    return planes * nbh
 
 
 def _scratch(arena, tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -444,18 +364,13 @@ def tiled_compress_nd(
     ops: FusedOps,
     *,
     blocks: bool = False,
-    workers: int = 1,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Raw-ndarray tiled compress: same GEMMs, ``out=`` buffers throughout.
+    """``(..., H, W) -> (..., cf*nbh, cf*nbw)`` via two skinny GEMMs.
 
-    With ``workers == 1`` the bytes are identical to
-    :func:`tiled_compress` (same GEMM shapes issued in the same order on
-    the same contiguous data).  With ``workers > 1`` the tile-row range
-    is split by :func:`repro.core.parallel.span_partition` and fanned
-    across the thread pool; each span's GEMM has its own M dimension, so
-    bit-identity to the dense oracle is re-proven per ``(shape, dtype,
-    workers)`` by the compressor's probe before this path serves traffic.
+    With ``blocks=True`` the output is the SG block layout
+    ``(..., nbh*nbw, cf*cf)`` instead — the same GEMMs, one fewer layout
+    shuffle than compress-then-reshuffle.
 
     Buffers come from the active :class:`~repro.core.arena.Arena` when
     one is installed (zero steady-state allocations), else ``np.empty``.
@@ -467,7 +382,7 @@ def tiled_compress_nd(
     lead = x.shape[:-2]
     nbh = x.shape[-2] // block
     nbw = x.shape[-1] // block
-    rows = _lead_rows(x.shape, nbh)
+    rows = math.prod(lead) * nbh
     rdtype = np.result_type(x.dtype, ops.enc_r.dtype)
     arena = arena_mod.current()
     g1 = _scratch(arena, "c.g1", (rows, block, nbw, cf), rdtype)
@@ -478,25 +393,19 @@ def tiled_compress_nd(
     else:
         out_shape = lead + (cf * nbh, cf * nbw)
     out = _output(arena, "c.out" + (".blocks" if blocks else ""), out_shape, rdtype, out)
-    z0 = x.reshape(rows, block, nbw, block)
-    out_v = out.reshape(rows, nbw, cf, cf) if blocks else out.reshape(rows, cf, nbw, cf)
-    enc_r, enc_lT = ops.enc_r, ops.enc_lT
-
-    def work(lo: int, hi: int) -> None:
-        # Column transform (GEMM 1, K=block): (span*B*nbw, B) @ (B, cf).
-        np.matmul(z0[lo:hi].reshape(-1, block), enc_r, out=g1[lo:hi].reshape(-1, cf))
+    with np.errstate(invalid="ignore"):
+        # Column transform (GEMM 1, K=block): (rows*B*nbw, B) @ (B, cf).
+        _gemm(x.reshape(-1, block), ops.enc_r, g1.reshape(-1, cf))
         # (r, b, c, q) -> (r, c, q, b): in-block row axis last.
-        np.copyto(s2[lo:hi], g1[lo:hi].transpose(0, 2, 3, 1))
+        np.copyto(s2, g1.transpose(0, 2, 3, 1))
         # Row transform (GEMM 2, K=block) -> (r, c, q, p).
-        np.matmul(s2[lo:hi].reshape(-1, block), enc_lT, out=g2[lo:hi].reshape(-1, cf))
-        if blocks:
-            # (r, c, q, p) -> (r, c, p, q): SG block layout.
-            np.copyto(out_v[lo:hi], g2[lo:hi].transpose(0, 1, 3, 2))
-        else:
-            # (r, c, q, p) -> (r, p, c, q): dense compressed layout.
-            np.copyto(out_v[lo:hi], g2[lo:hi].transpose(0, 3, 1, 2))
-
-    parallel_mod.run_spans(work, parallel_mod.span_partition(rows, workers), workers)
+        _gemm(s2.reshape(-1, block), ops.enc_lT, g2.reshape(-1, cf))
+    if blocks:
+        # (r, c, q, p) -> (r, c, p, q): SG block layout.
+        np.copyto(out.reshape(rows, nbw, cf, cf), g2.transpose(0, 1, 3, 2))
+    else:
+        # (r, c, q, p) -> (r, p, c, q): dense compressed layout.
+        np.copyto(out.reshape(rows, cf, nbw, cf), g2.transpose(0, 3, 1, 2))
     return out
 
 
@@ -507,47 +416,90 @@ def tiled_decompress_nd(
     nbw: int,
     *,
     from_blocks: bool = False,
-    workers: int = 1,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Raw-ndarray inverse of :func:`tiled_compress_nd` (same contract)."""
+    """Inverse of :func:`tiled_compress_nd` (``from_blocks`` takes SG layout)."""
     block, cf = ops.block, ops.cf
     y = _ingest(y)
     lead = y.shape[:-2]
-    rows = _lead_rows(y.shape, nbh)
+    rows = math.prod(lead) * nbh
     rdtype = np.result_type(y.dtype, ops.dec_r.dtype)
     arena = arena_mod.current()
     g1 = _scratch(arena, "d.g1", (rows, nbw, cf, block), rdtype)
     s1 = _scratch(arena, "d.s1", (rows, nbw, block, cf), rdtype)
     g2 = _scratch(arena, "d.g2", (rows, nbw, block, block), rdtype)
-    out_shape = lead + (nbh * block, nbw * block)
-    out = _output(arena, "d.out", out_shape, rdtype, out)
-    out_v = out.reshape(rows, block, nbw, block)
-    dec_r, dec_lT = ops.dec_r, ops.dec_lT
+    out = _output(arena, "d.out", lead + (nbh * block, nbw * block), rdtype, out)
     if from_blocks:
         # Blocks layout is already (r, c, p, q) — the GEMM input, no copy.
-        s0 = y.reshape(rows, nbw, cf, cf)
-        y4 = None
+        s0 = y
     else:
+        # (r, p, c, q) -> (r, c, p, q).
         s0 = _scratch(arena, "d.s0", (rows, nbw, cf, cf), y.dtype)
-        y4 = y.reshape(rows, cf, nbw, cf)
-
-    def work(lo: int, hi: int) -> None:
-        if y4 is not None:
-            # (r, p, c, q) -> (r, c, p, q).
-            np.copyto(s0[lo:hi], y4[lo:hi].transpose(0, 2, 1, 3))
+        np.copyto(s0, y.reshape(rows, cf, nbw, cf).transpose(0, 2, 1, 3))
+    with np.errstate(invalid="ignore"):
         # Column inverse first (matches the dense evaluation order):
-        # (span*nbw*cf, cf) @ (cf, B) -> (r, c, p, bc).
-        np.matmul(s0[lo:hi].reshape(-1, cf), dec_r, out=g1[lo:hi].reshape(-1, block))
+        # (rows*nbw*cf, cf) @ (cf, B) -> (r, c, p, bc).
+        _gemm(s0.reshape(-1, cf), ops.dec_r, g1.reshape(-1, block))
         # (r, c, p, bc) -> (r, c, bc, p).
-        np.copyto(s1[lo:hi], g1[lo:hi].transpose(0, 1, 3, 2))
+        np.copyto(s1, g1.transpose(0, 1, 3, 2))
         # Row inverse -> (r, c, bc, br).
-        np.matmul(s1[lo:hi].reshape(-1, cf), dec_lT, out=g2[lo:hi].reshape(-1, block))
-        # (r, c, bc, br) -> (r, br, c, bc): the plane layout.
-        np.copyto(out_v[lo:hi], g2[lo:hi].transpose(0, 3, 1, 2))
-
-    parallel_mod.run_spans(work, parallel_mod.span_partition(rows, workers), workers)
+        _gemm(s1.reshape(-1, cf), ops.dec_lT, g2.reshape(-1, block))
+    # (r, c, bc, br) -> (r, br, c, bc): the plane layout.
+    np.copyto(out.reshape(rows, block, nbw, block), g2.transpose(0, 3, 1, 2))
     return out
+
+
+# ----------------------------------------------------------------------
+# Autograd: one op per direction, backward = the other direction
+# ----------------------------------------------------------------------
+class _TiledOp(rt.Function):
+    """Shared plumbing of the two tiled autograd ops.
+
+    Gradient-carrying outputs live on the tape, so neither they nor the
+    gradients may come from an arena ring slot (a reused slot would
+    overwrite a live tape value): both bypass the active arena.
+    """
+
+    @classmethod
+    def apply(cls, x: Tensor, **kwargs) -> Tensor:
+        if x.requires_grad and is_grad_enabled():
+            with arena_mod.bypass():
+                return super().apply(x, **kwargs)
+        return super().apply(x, **kwargs)
+
+
+class TiledCompress(_TiledOp):
+    """Differentiable :func:`tiled_compress_nd`.
+
+    Compression ``Y = L X R`` is linear, so ``dX = L^T dY R^T``: the
+    decompress kernel run with the adjoint operators (:func:`adjoint`).
+    """
+
+    def forward(self, x, *, ops: FusedOps, adj: FusedOps, blocks: bool = False):
+        self.save(adj, x.shape[-2] // ops.block, x.shape[-1] // ops.block, blocks)
+        return tiled_compress_nd(x, ops, blocks=blocks)
+
+    def backward(self, grad):
+        adj, nbh, nbw, blocks = self.saved
+        with arena_mod.bypass():
+            return (tiled_decompress_nd(grad, adj, nbh, nbw, from_blocks=blocks),)
+
+
+class TiledDecompress(_TiledOp):
+    """Differentiable :func:`tiled_decompress_nd`; backward is compress
+    with the adjoint operators."""
+
+    def forward(
+        self, y, *, ops: FusedOps, adj: FusedOps, nbh: int, nbw: int,
+        from_blocks: bool = False,
+    ):
+        self.save(adj, from_blocks)
+        return tiled_decompress_nd(y, ops, nbh, nbw, from_blocks=from_blocks)
+
+    def backward(self, grad):
+        adj, blocks = self.saved
+        with arena_mod.bypass():
+            return (tiled_compress_nd(grad, adj, blocks=blocks),)
 
 
 def probe_input(shape: tuple[int, ...], dtype, *, cf: int, block: int, direction: str) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 import repro.tensor as rt
 from repro.core import flops as flops_mod
 from repro.core import fused
-from repro.core.chop import DCTChopCompressor
 from repro.core.dct import DEFAULT_BLOCK
 from repro.core.mask import triangle_count, triangle_indices
 from repro.errors import ShapeError
@@ -38,11 +37,12 @@ class ScatterGatherCompressor:
         cf: int = 4,
         block: int = DEFAULT_BLOCK,
         fast: bool | None = None,
-        workers: int | None = None,
     ) -> None:
-        self.inner = DCTChopCompressor(
-            height, width, cf=cf, block=block, fast=fast, workers=workers
-        )
+        # The shared DC instance for this resolution (lazy import: api
+        # imports us), so SG and plain DC traffic share probe verdicts.
+        from repro.core.api import make_compressor
+
+        self.inner = make_compressor(height, width, cf=cf, block=block, fast=fast)
         self.height = self.inner.height
         self.width = self.inner.width
         self.cf = self.inner.cf
@@ -50,7 +50,6 @@ class ScatterGatherCompressor:
         # Indices of the retained triangle within a flattened CF x CF block;
         # known at compile time, never shipped with the data.
         self._tri = triangle_indices(self.cf)
-        self._index_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     @property
     def nblocks_h(self) -> int:
@@ -104,16 +103,13 @@ class ScatterGatherCompressor:
         return t.reshape(*lead, nbh * cf, nbw * cf)
 
     def _indices_for(self, lead: tuple[int, ...]) -> np.ndarray:
-        """Gather/scatter index tensor broadcast to the full operand shape."""
-        key = lead
-        idx = self._index_cache.get(key)
-        if idx is None:
-            shape = lead + (self.nblocks, self.values_per_block)
-            idx = np.broadcast_to(
-                self._tri.reshape((1,) * (len(shape) - 1) + (-1,)), shape
-            ).copy()
-            self._index_cache[key] = idx
-        return idx
+        """Gather/scatter index tensor broadcast to the full operand shape.
+
+        A read-only zero-stride view of the ``cf*(cf+1)/2`` triangle
+        indices: nothing is materialised or kept per batch shape.
+        """
+        shape = lead + (self.nblocks, self.values_per_block)
+        return np.broadcast_to(self._tri, shape)
 
     # ------------------------------------------------------------------
     # Compress / decompress
@@ -129,10 +125,8 @@ class ScatterGatherCompressor:
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
         self.inner._check_plane(x.shape)
-        use_nd = not self.inner._grad_carrying(x) and fused.nd_path_eligible()
-        workers = self.inner._dispatch_fast(x.shape, x.dtype, "compress", use_nd)
-        if workers is not None:
-            blocks = self.inner._compress_tiled_blocks(x, workers)
+        if self.inner._use_fast(x.shape, x.dtype, "compress"):
+            blocks = self.inner._compress_tiled_blocks(x)
             if fused.has_nonfinite(blocks.data):
                 # Non-finite planes take the dense oracle, whose 0*inf
                 # row-poisoning is the contractual output (see fused.py).
@@ -154,13 +148,10 @@ class ScatterGatherCompressor:
         )
         # The retained triangle is the small compressed side: check it for
         # non-finite data before the fast path may run (pin to dense).
-        if not fused.has_nonfinite(z.data):
-            use_nd = not self.inner._grad_carrying(z) and fused.nd_path_eligible()
-            workers = self.inner._dispatch_fast(
-                dense_layout_shape, z.dtype, "decompress", use_nd
-            )
-            if workers is not None:
-                return self.inner._decompress_tiled_blocks(blocks, workers)
+        if not fused.has_nonfinite(z.data) and self.inner._use_fast(
+            dense_layout_shape, z.dtype, "decompress"
+        ):
+            return self.inner._decompress_tiled_blocks(blocks)
         return self.inner.decompress(self._from_blocks(blocks))
 
     def roundtrip(self, x) -> Tensor:

@@ -5,27 +5,16 @@ An input batch ``BD x C x n x n`` is subdivided by a factor ``s`` into
 *serially* with a DC compressor compiled for the chunk resolution, so the
 ``LHS``/``RHS`` operands shrink by ``s`` per side and the on-chip working
 set by ``s*s`` — this is what lets 512x512 inputs compile on SN30 and IPU.
-
-On CPU the serial loop is a latency artifact, not a memory necessity, so
-``workers=`` optionally fans the independent chunk cells across the
-shared thread pool (:mod:`repro.core.parallel`).  Each cell runs the
-exact same per-chunk computation as the serial loop and lands in its
-fixed ``(row, col)`` grid position, so the reassembled bytes are
-identical to the serial ones regardless of scheduling.  The fan-out
-steps aside for gradient-carrying inputs (the tape is built on the
-calling thread) and while a fault injector or integrity policy is armed
-(``resolve_workers`` collapses to 1).
 """
 
 from __future__ import annotations
 
 import repro.tensor as rt
-from repro.core import parallel as parallel_mod
-from repro.core.chop import DCTChopCompressor
+from repro.core import arena as arena_mod
 from repro.core.dct import DEFAULT_BLOCK
 from repro.errors import ConfigError, ShapeError, require_int
 from repro.obs.profile import profiled
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor
 
 
 class PartialSerializedCompressor:
@@ -42,7 +31,6 @@ class PartialSerializedCompressor:
         s: int = 2,
         block: int = DEFAULT_BLOCK,
         fast: bool | None = None,
-        workers: int | None = None,
     ) -> None:
         height = require_int("height", height)
         width = height if width is None else require_int("width", width)
@@ -55,21 +43,17 @@ class PartialSerializedCompressor:
                 f"chunk resolution {height // s}x{width // s} must be a "
                 f"multiple of block {block}"
             )
-        if workers is not None:
-            workers = require_int("workers", workers, minimum=0)
-            if workers == 0:
-                workers = parallel_mod.cpu_workers()
         self.height = height
         self.width = width
         self.s = s
-        # Chunk *cells* are the PS parallel unit, so the inner compressor
-        # stays serial — fanning rows inside a chunk and cells across the
-        # pool at once would oversubscribe it.
-        self._workers = workers
         # The device only ever sees the chunk-resolution compressor; the
         # tiled fast path applies per chunk, inside the serial loop (the
-        # loop *is* PS — it bounds the working set to one chunk).
-        self.inner = DCTChopCompressor(height // s, width // s, cf=cf, block=block, fast=fast)
+        # loop *is* PS — it bounds the working set to one chunk).  It is
+        # the shared DC instance for that resolution, so probe verdicts
+        # are shared with plain DC traffic (lazy import: api imports us).
+        from repro.core.api import make_compressor
+
+        self.inner = make_compressor(height // s, width // s, cf=cf, block=block, fast=fast)
 
     @property
     def cf(self) -> int:
@@ -104,46 +88,25 @@ class PartialSerializedCompressor:
         if len(shape) < 2 or shape[-2] != h or shape[-1] != w:
             raise ShapeError(f"expected (..., {h}, {w}) input, got {shape}")
 
-    def _chunks(self, t: Tensor, h: int, w: int):
-        """Yield (row, col, chunk) views of the ``s x s`` subdivision."""
-        ch, cw = h // self.s, w // self.s
-        for r in range(self.s):
-            for c in range(self.s):
-                yield r, c, t[..., r * ch : (r + 1) * ch, c * cw : (c + 1) * cw]
+    def _map_chunks(self, fn, t: Tensor, ch: int, cw: int) -> Tensor:
+        """Apply ``fn`` to each ``ch x cw`` chunk serially, row-major, and
+        reassemble the results in the same spatial grid.
 
-    def _cell_workers(self, t: Tensor) -> int:
-        """Worker count for one call (1 == the plain serial loop)."""
-        workers = parallel_mod.resolve_workers(self._workers)
-        if workers > 1 and self.inner._grad_carrying(t):
-            # The autograd tape is built on the calling thread.
-            return 1
-        return workers
-
-    def _map_cells(self, cells: list, fn, workers: int) -> list:
-        """Apply ``fn`` to every chunk cell, optionally across the pool.
-
-        Results land at their cell's fixed list index, so reassembly
-        order — and therefore the output bytes — never depends on thread
-        scheduling.  Per-chunk work is byte-identical to the serial loop:
-        the same ``inner`` call on the same view.
+        All ``s*s`` chunk results must stay alive until reassembly, but an
+        active arena's ring hands out only ``slots`` buffers per shape, so
+        the chunk calls bypass it.
         """
-        if workers <= 1:
-            # The plain serial loop — on the calling thread, tape intact
-            # for gradient-carrying inputs.
-            return [fn(cell) for cell in cells]
-        results: list = [None] * len(cells)
-
-        def work(lo: int, hi: int) -> None:
-            # Worker threads get fresh thread-local state; pin grad off so
-            # a pool thread never starts a stray tape for chunk math.
-            with no_grad():
-                for i in range(lo, hi):
-                    results[i] = fn(cells[i])
-
-        parallel_mod.run_spans(
-            work, parallel_mod.span_partition(len(cells), workers), workers
-        )
-        return results
+        with arena_mod.bypass():
+            parts = [
+                fn(t[..., r * ch : (r + 1) * ch, c * cw : (c + 1) * cw])
+                for r in range(self.s)
+                for c in range(self.s)
+            ]
+        rows = [
+            rt.concatenate(parts[r * self.s : (r + 1) * self.s], axis=-1)
+            for r in range(self.s)
+        ]
+        return rt.concatenate(rows, axis=-2)
 
     @profiled("core.ps.compress")
     def compress(self, x) -> Tensor:
@@ -151,36 +114,18 @@ class PartialSerializedCompressor:
         the compressed tensor keeps the input's spatial arrangement."""
         x = x if isinstance(x, Tensor) else Tensor(x)
         self._check(x.shape, self.height, self.width)
-        ch, cw = self.height // self.s, self.width // self.s
-        cells = [
-            x[..., r * ch : (r + 1) * ch, c * cw : (c + 1) * cw]
-            for r in range(self.s)
-            for c in range(self.s)
-        ]
-        parts = self._map_cells(cells, self.inner.compress, self._cell_workers(x))
-        rows = [
-            rt.concatenate(parts[r * self.s : (r + 1) * self.s], axis=-1)
-            for r in range(self.s)
-        ]
-        return rt.concatenate(rows, axis=-2)
+        return self._map_chunks(
+            self.inner.compress, x, self.height // self.s, self.width // self.s
+        )
 
     @profiled("core.ps.decompress")
     def decompress(self, y) -> Tensor:
         y = y if isinstance(y, Tensor) else Tensor(y)
         self._check(y.shape, self.compressed_height, self.compressed_width)
-        ch = self.inner.compressed_height
-        cw = self.inner.compressed_width
-        cells = [
-            y[..., r * ch : (r + 1) * ch, c * cw : (c + 1) * cw]
-            for r in range(self.s)
-            for c in range(self.s)
-        ]
-        parts = self._map_cells(cells, self.inner.decompress, self._cell_workers(y))
-        rows = [
-            rt.concatenate(parts[r * self.s : (r + 1) * self.s], axis=-1)
-            for r in range(self.s)
-        ]
-        return rt.concatenate(rows, axis=-2)
+        return self._map_chunks(
+            self.inner.decompress, y,
+            self.inner.compressed_height, self.inner.compressed_width,
+        )
 
     def roundtrip(self, x) -> Tensor:
         return self.decompress(self.compress(x))

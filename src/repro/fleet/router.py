@@ -258,7 +258,7 @@ class FleetRouter:
         worker.service.slo_worker = name
         self.workers[name] = worker
         self.ring.add(name)
-        self._set_workers_gauge()
+        self._update_workers_gauge()
         return worker
 
     def _retire(self, worker: FleetWorker) -> None:
@@ -268,9 +268,9 @@ class FleetRouter:
         worker.state = "retired"
         for lease in worker.leases:
             self.pool.release(lease)
-        self._set_workers_gauge()
+        self._update_workers_gauge()
 
-    def _set_workers_gauge(self) -> None:
+    def _update_workers_gauge(self) -> None:
         self._m_workers.set(sum(1 for w in self.workers.values() if w.up))
 
     @property
@@ -487,7 +487,7 @@ class FleetRouter:
             # remember the hit rate the warm-handoff bar is judged against.
             worker.pre_crash_hit_rate = worker.cache_hit_rate
             worker.archive_service()
-        self._set_workers_gauge()
+        self._update_workers_gauge()
         # Dedup-safe replay: these requests were pulled from the queue
         # before ever being served, so rerouting serves each exactly once.
         for req in queued:
@@ -561,7 +561,7 @@ class FleetRouter:
             self.ring.add(worker.name)
             self.n_quarantine_rejoins += 1
             self._m_quarantine_rejoins.inc(worker=worker.name)
-            self._set_workers_gauge()
+            self._update_workers_gauge()
             if self.tracer is not None:
                 self.tracer.record_event(
                     self.tracer.new_trace(), "fleet.quarantine_rejoin", now,
@@ -606,7 +606,7 @@ class FleetRouter:
             worker.integrity_floor = worker.service.integrity_faults
         worker.state = "up"
         self.ring.add(worker.name)
-        self._set_workers_gauge()
+        self._update_workers_gauge()
 
     def _take_snapshots(self, now: float) -> None:
         for worker in self.workers.values():

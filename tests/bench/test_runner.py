@@ -28,25 +28,22 @@ def tiny_report():
 class TestSuite:
     def test_default_suite_covers_grid(self):
         cases = default_suite()
-        # methods x sizes x cfs x directions, plus the parallel (x2
-        # directions) and float64 rider cases.
-        assert len(cases) == 3 * 3 * 3 * 2 + 3
+        # methods x sizes x cfs x directions, plus the float64 rider.
+        assert len(cases) == 3 * 3 * 3 * 2 + 1
         keys = {c.key for c in cases}
         assert len(keys) == len(cases)
         assert "sg-n512-cf7-decompress" in keys
-        assert "dc-n256-cf4-compress-w2" in keys
-        assert "dc-n256-cf4-decompress-w2" in keys
         assert "dc-n256-cf4-compress-float64" in keys
 
     def test_rider_keys_leave_grid_keys_unchanged(self):
-        # The dtype/workers fields must not perturb pre-existing keys or
-        # seeds: default-valued cases keep their old identity.
+        # The dtype field must not perturb pre-existing keys or seeds:
+        # default-valued cases keep their old identity.
         default = BenchCase("dc", 256, 4, "compress")
         assert default.key == "dc-n256-cf4-compress"
         assert bench.runner.hash_tag(default) == bench.runner.hash_tag(
-            BenchCase("dc", 256, 4, "compress", dtype="float32", workers=1)
+            BenchCase("dc", 256, 4, "compress", dtype="float32")
         )
-        rider = BenchCase("dc", 256, 4, "compress", workers=2)
+        rider = BenchCase("dc", 256, 4, "compress", dtype="float64")
         assert bench.runner.hash_tag(rider) != bench.runner.hash_tag(default)
 
     def test_run_case_deterministic_checksum(self):
@@ -64,15 +61,6 @@ class TestSuite:
 
     def test_calibration_positive(self):
         assert bench.calibrate(repeats=3, warmup=1) > 0
-
-    def test_parallel_case_runs_and_matches_serial_bytes(self):
-        serial = run_case(BenchCase("dc", 16, 4, "compress", batch=2), repeats=1)
-        fanned = run_case(
-            BenchCase("dc", 16, 4, "compress", batch=2, workers=2), repeats=1
-        )
-        # Same seed tag would differ (workers is in the seed sequence),
-        # so compare determinism per case instead of across cases.
-        assert serial.checksum and fanned.checksum
 
     def test_float64_case_runs(self):
         result = run_case(
@@ -123,13 +111,6 @@ class TestDegenerateConfigs:
         with pytest.raises(ConfigError, match="direction"):
             run_case(BenchCase("dc", 16, 4, "sideways", batch=2), repeats=1)
 
-    def test_measure_parallel_rejects_serial_workers(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="workers >= 2, got 1"):
-            bench.measure_parallel(n=16, cfs=(4,), workers=1, repeats=1)
-
-
 class TestReport:
     def test_json_roundtrip(self, tiny_report, tmp_path):
         path = tmp_path / "bench.json"
@@ -150,16 +131,6 @@ class TestReport:
         assert s.identical
         assert tiny_report.median_speedup == pytest.approx(s.speedup)
 
-    def test_parallel_section(self, tiny_report):
-        assert len(tiny_report.parallel) == 1
-        p = tiny_report.parallel[0]
-        assert p.workers == 2
-        # Bit-identity to the dense oracle is absolute, whatever the
-        # core count of the machine running the suite.
-        assert p.identical
-        assert p.serial_median_s > 0 and p.parallel_median_s > 0
-        assert tiny_report.median_parallel_speedup == pytest.approx(p.speedup)
-
     def test_precision_section(self, tiny_report):
         names = [row["name"] for row in tiny_report.precision]
         assert names == ["dct-float64", "dct-float32", "dct-int8", "quant-8bit"]
@@ -175,12 +146,6 @@ class TestReport:
 
     def test_new_sections_serialize(self, tiny_report):
         loaded = json.loads(tiny_report.to_json())
-        assert loaded["median_parallel_speedup"] == pytest.approx(
-            tiny_report.median_parallel_speedup
-        )
-        assert {"n", "cf", "workers", "speedup", "identical"} <= set(
-            loaded["parallel"][0]
-        )
         assert {"name", "ratio", "nrmse", "psnr", "median_s"} <= set(
             loaded["precision"][0]
         )
@@ -249,43 +214,6 @@ class TestCompare:
         result = compare(tiny_report, baseline)
         assert result.ok
         assert any("no baseline entry" in w for w in result.warnings)
-
-    def test_parallel_nonidentical_is_hard_failure(self, tiny_report):
-        import copy
-
-        baseline = json.loads(tiny_report.to_json())
-        broken = copy.deepcopy(tiny_report)
-        broken.parallel = [
-            bench.ParallelResult(
-                n=p.n,
-                cf=p.cf,
-                workers=p.workers,
-                serial_median_s=p.serial_median_s,
-                parallel_median_s=p.parallel_median_s,
-                identical=False,
-            )
-            for p in tiny_report.parallel
-        ]
-        result = compare(broken, baseline)
-        assert not result.ok
-        assert any("differs from dense oracle" in f for f in result.failures)
-
-    def test_parallel_speedup_slide_is_regression(self, tiny_report):
-        # Baseline claims a far higher parallel ratio than measured: the
-        # relative slide (not an absolute floor) must fire.
-        baseline = json.loads(tiny_report.to_json())
-        for entry in baseline["parallel"]:
-            entry["speedup"] = entry["speedup"] * 1000.0
-        result = compare(tiny_report, baseline)
-        assert not result.ok
-        assert any("slide" in r for r in result.regressions)
-
-    def test_parallel_missing_baseline_is_warning(self, tiny_report):
-        baseline = json.loads(tiny_report.to_json())
-        baseline["parallel"] = []
-        result = compare(tiny_report, baseline)
-        assert result.ok
-        assert any("parallel" in w and "no baseline" in w for w in result.warnings)
 
     def test_precision_nrmse_drift_is_regression(self, tiny_report):
         baseline = json.loads(tiny_report.to_json())

@@ -172,14 +172,13 @@ class TestSharedInstances:
         dense = make_compressor(32, cf=4, fast=False)
         assert dense is not default
         assert dense is make_compressor(32, cf=4, fast=False)
-        assert make_compressor(32, cf=4, workers=1) is not default
 
     def test_auto_shares_with_resolved_config(self):
         from repro.core import autotune
 
         auto = make_compressor(16, cf=2, fast="auto")
         plan = autotune.planned(16, 16, cf=2)
-        assert auto is make_compressor(16, cf=2, fast=plan.fast, workers=plan.workers)
+        assert auto is make_compressor(16, cf=2, fast=plan.fast)
         assert auto is make_compressor(16, cf=2, fast="auto")
 
     @pytest.mark.parametrize(
@@ -239,8 +238,7 @@ class TestSharedInstances:
         def tiled_called(*args, **kwargs):
             raise AssertionError("tiled kernel ran with the dense path forced")
 
-        for name in ("tiled_compress", "tiled_compress_nd", "tiled_decompress",
-                     "tiled_decompress_nd"):
+        for name in ("tiled_compress_nd", "tiled_decompress_nd"):
             monkeypatch.setattr(fused, name, tiled_called)
         if switch == "force_dense":
             with fused.force_dense():
@@ -312,3 +310,19 @@ class TestSharedInstances:
         assert len(got) == 160 and all(c is got[0] for c in got)
         # One compress and one decompress probe for the one lead shape.
         assert sum(fused.fast_path_stats().values()) - before == 2
+
+    @pytest.mark.parametrize("method,kw", [("ps", {"s": 2}), ("sg", {})])
+    def test_ps_sg_inner_is_the_shared_dc_instance(self, method, kw):
+        outer = make_compressor(64, method=method, cf=4, **kw)
+        inner_n = 32 if method == "ps" else 64
+        assert outer.inner is make_compressor(inner_n, cf=4)
+
+    def test_ps_and_dc_probe_a_shared_shape_once(self, rng):
+        from repro.core import fused
+
+        x = rng.standard_normal((2, 64, 64)).astype(np.float32)
+        before = sum(fused.fast_path_stats().values())
+        make_compressor(64, method="ps").compress(x)
+        # The PS chunks are (2, 32, 32) planes: exactly the DC shape below.
+        make_compressor(32).compress(x[..., :32, :32])
+        assert sum(fused.fast_path_stats().values()) - before == 1

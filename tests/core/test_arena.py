@@ -101,6 +101,20 @@ class TestKernelIntegration:
         assert plain.data.tobytes() == arena_second.data.tobytes()
         assert rec_plain.data.tobytes() == rec_arena.data.tobytes()
 
+    @pytest.mark.parametrize("method", ["dc", "ps", "sg"])
+    def test_every_method_bit_identical_inside_arena(self, rng, method):
+        # PS holds all s*s chunk results until reassembly — more live
+        # outputs of one shape than the ring has slots.
+        from repro.core import make_compressor
+
+        comp = make_compressor(64, method=method, cf=4, s=4)
+        x = rng.standard_normal((2, 64, 64)).astype(np.float32)
+        y = comp.compress(x).data.copy()
+        rec = comp.decompress(y).data.copy()
+        with Arena(slots=2).use():
+            assert np.array_equal(comp.compress(x).data, y)
+            assert np.array_equal(comp.decompress(y).data, rec)
+
     def test_steady_state_hits_dominate(self, rng):
         a = Arena()
         comp = DCTChopCompressor(64, cf=4)

@@ -83,8 +83,8 @@ class TestExecutionPlanning:
     def test_plan_measures_every_candidate(self):
         from repro.core.autotune import plan_execution
 
-        plan = plan_execution(32, batch=2, worker_candidates=(2,), repeats=1)
-        assert set(plan.samples) == {"dense", "fast@1", "fast@2"}
+        plan = plan_execution(32, batch=2, repeats=1)
+        assert set(plan.samples) == {"dense", "fast"}
         assert all(v > 0 for v in plan.samples.values())
         assert plan.height == plan.width == 32
         assert plan.dtype == "<f4"
@@ -92,22 +92,10 @@ class TestExecutionPlanning:
     def test_plan_picks_measured_minimum(self):
         from repro.core.autotune import plan_execution
 
-        plan = plan_execution(32, batch=2, worker_candidates=(2,), repeats=1)
+        plan = plan_execution(32, batch=2, repeats=1)
         best = min(plan.samples, key=plan.samples.get)
         assert plan.label == best
-        if plan.fast:
-            assert plan.workers >= 1
-        else:
-            assert plan.workers == 1
-
-    def test_span_rows_consistent_with_partition(self):
-        from repro.core import parallel
-        from repro.core.autotune import plan_execution
-
-        plan = plan_execution(32, batch=2, worker_candidates=(2,), repeats=1)
-        rows = 2 * (32 // plan.block)
-        spans = parallel.span_partition(rows, plan.workers)
-        assert plan.span_rows == max(hi - lo for lo, hi in spans)
+        assert plan.fast is (best == "fast")
 
     def test_planned_caches_per_key(self):
         from repro.core import autotune
@@ -125,8 +113,6 @@ class TestExecutionPlanning:
 
         with pytest.raises(ConfigError, match="repeats"):
             plan_execution(32, repeats=0)
-        with pytest.raises(ConfigError, match="worker candidates"):
-            plan_execution(32, worker_candidates=(1,))
 
     def test_make_compressor_fast_auto_follows_plan(self):
         from repro.core import autotune, make_compressor
@@ -134,8 +120,6 @@ class TestExecutionPlanning:
         comp = make_compressor(32, method="dc", cf=4, fast="auto")
         plan = autotune.planned(32, cf=4)
         assert comp._fast is plan.fast
-        expected = plan.workers if plan.workers > 1 else None
-        assert comp._workers == expected or comp._workers == plan.workers
 
     def test_make_compressor_rejects_unknown_fast_string(self):
         from repro.core import make_compressor

@@ -159,6 +159,44 @@ class TestSwitches:
         assert np.array_equal(inside.data, c.compress(x).data)
 
 
+def _custom_transform() -> np.ndarray:
+    """A well-conditioned, non-orthonormal 8x8 transform."""
+    rng = np.random.default_rng(11)
+    return (np.eye(8) * 2.0 + 0.3 * rng.standard_normal((8, 8))).astype(np.float32)
+
+
+def _grad_compressor(method: str, fast: bool, transform: str) -> object:
+    """A 32x32 compressor; custom transforms ride on a private DC inner."""
+    if transform == "dct":
+        kw = {"s": 2} if method == "ps" else {}
+        return make_compressor(32, method=method, cf=4, fast=fast, **kw)
+    t = _custom_transform()
+    if method == "dc":
+        return DCTChopCompressor(32, cf=4, transform=t, fast=fast)
+    if method == "ps":
+        comp = PartialSerializedCompressor(32, cf=4, s=2, fast=fast)
+        comp.inner = DCTChopCompressor(16, cf=4, transform=t, fast=fast)
+    else:
+        comp = ScatterGatherCompressor(32, cf=4, fast=fast)
+        comp.inner = DCTChopCompressor(32, cf=4, transform=t, fast=fast)
+    return comp
+
+
+def _grad_roundtrip(comp, data: np.ndarray, g: np.ndarray):
+    """compress -> decompress -> backward(g); returns (output, input grad)."""
+    x = Tensor(data.copy(), requires_grad=True)
+    out = comp.decompress(comp.compress(x))
+    out.backward(g)
+    return out.data.copy(), x.grad.copy()
+
+
+GRAD_CASES = [
+    (method, transform)
+    for method in ("dc", "ps", "sg")
+    for transform in ("dct", "custom")
+]
+
+
 class TestGradients:
     def test_fast_path_gradients_match_dense(self, rng):
         data = rng.standard_normal((2, 32, 32)).astype(np.float32)
@@ -170,6 +208,108 @@ class TestGradients:
             y.sum().backward()
             grads[fast] = x.grad.copy()
         np.testing.assert_allclose(grads[True], grads[False], atol=1e-5)
+
+    @pytest.mark.parametrize("method,transform", GRAD_CASES)
+    def test_adjoint_identity(self, rng, method, transform):
+        # Compression is linear: <compress(x), g> == <x, d/dx <compress(x), g>>,
+        # and the same for decompress.
+        comp = _grad_compressor(method, True, transform)
+        x = Tensor(rng.standard_normal((2, 32, 32)).astype(np.float32), requires_grad=True)
+        y = comp.compress(x)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        y.backward(g)
+        np.testing.assert_allclose(
+            np.vdot(y.data, g), np.vdot(x.data, x.grad), rtol=1e-4
+        )
+        z = Tensor(y.data.copy(), requires_grad=True)
+        out = comp.decompress(z)
+        h = rng.standard_normal(out.shape).astype(np.float32)
+        out.backward(h)
+        np.testing.assert_allclose(
+            np.vdot(out.data, h), np.vdot(z.data, z.grad), rtol=1e-4
+        )
+
+    @pytest.mark.parametrize("method,transform", GRAD_CASES)
+    def test_fast_gradients_match_dense(self, rng, method, transform):
+        data = rng.standard_normal((3, 32, 32)).astype(np.float32)
+        g = rng.standard_normal(data.shape).astype(np.float32)
+        out_f, grad_f = _grad_roundtrip(_grad_compressor(method, True, transform), data, g)
+        out_d, grad_d = _grad_roundtrip(_grad_compressor(method, False, transform), data, g)
+        assert np.array_equal(out_f, out_d)
+        np.testing.assert_allclose(grad_f, grad_d, rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("method,transform", GRAD_CASES)
+    def test_grad_roundtrip_under_integrity_policy(self, rng, method, transform):
+        # Armed ABFT checks every tiled GEMM, backward included; the clean
+        # path stays byte-identical and detects nothing.
+        from repro.integrity import IntegrityPolicy, detected, integrity_guards
+
+        comp = _grad_compressor(method, True, transform)
+        data = rng.standard_normal((2, 32, 32)).astype(np.float32)
+        g = rng.standard_normal(data.shape).astype(np.float32)
+        plain = _grad_roundtrip(comp, data, g)
+        before = detected("gemm")
+        with integrity_guards(IntegrityPolicy()):
+            guarded = _grad_roundtrip(comp, data, g)
+        assert detected("gemm") == before
+        assert np.array_equal(guarded[0], plain[0])
+        assert np.array_equal(guarded[1], plain[1])
+
+    @pytest.mark.parametrize("method,transform", GRAD_CASES)
+    def test_grad_roundtrip_inside_arena(self, rng, method, transform):
+        # More grad-carrying calls than the ring has slots: a tape value
+        # handed a ring slot would be overwritten by a later call.
+        from repro.core import Arena
+
+        comp = _grad_compressor(method, True, transform)
+        arena = Arena(slots=2)
+        calls = 3 * arena.slots
+        inputs = [rng.standard_normal((2, 32, 32)).astype(np.float32) for _ in range(calls)]
+        g = rng.standard_normal((2, 32, 32)).astype(np.float32)
+        expected = [_grad_roundtrip(comp, x, g) for x in inputs]
+        with arena.use():
+            got = [_grad_roundtrip(comp, x, g) for x in inputs]
+            # Plain (grad-free) traffic still reuses the arena meanwhile.
+            comp.compress(inputs[0])
+        for (out, grad), (ref_out, ref_grad) in zip(got, expected):
+            assert np.array_equal(out, ref_out)
+            assert np.array_equal(grad, ref_grad)
+
+
+class TestFaultSites:
+    """The ``gemm`` SDC site and the ABFT guard live in the one GEMM hook."""
+
+    def test_gemm_site_fires_twice_per_direction(self, rng):
+        from repro.faults import FaultInjector, FaultPlan
+
+        comp = make_compressor(32, cf=4, fast=True)
+        x = rng.standard_normal((2, 32, 32)).astype(np.float32)
+        comp.decompress(comp.compress(x))  # probes run outside the injector
+        plan = FaultPlan(seed=3).add("gemm", "sdc_bit_flip", after=10**6)
+        with FaultInjector(plan) as inj:
+            y = comp.compress(x)
+            assert inj.events_seen("gemm") == 2
+            comp.decompress(y)
+            assert inj.events_seen("gemm") == 4
+
+    @pytest.mark.parametrize("direction", ["compress", "decompress"])
+    def test_abft_corrects_a_flip_inside_an_arena(self, rng, direction):
+        from repro.core import Arena
+        from repro.faults import FaultInjector, FaultPlan
+        from repro.integrity import IntegrityPolicy, integrity_guards, integrity_stats
+
+        comp = make_compressor(32, cf=4, fast=True)
+        x = rng.standard_normal((2, 32, 32)).astype(np.float32)
+        y = comp.compress(x).data.copy()
+        fn, arg = (comp.compress, x) if direction == "compress" else (comp.decompress, y)
+        clean = fn(arg).data.copy()
+        before = integrity_stats().get("corrected:gemm", 0)
+        plan = FaultPlan(seed=5).add("gemm", "sdc_bit_flip", after=1, times=1)
+        with Arena().use(), integrity_guards(IntegrityPolicy()), FaultInjector(plan) as inj:
+            out = fn(arg).data.copy()
+        assert [r.site for r in inj.records] == ["gemm"]
+        assert integrity_stats().get("corrected:gemm", 0) == before + 1
+        assert np.array_equal(out, clean)
 
 
 class TestOperatorCache:
@@ -244,10 +384,10 @@ class TestConcurrentProbes:
         probe_lock = threading.Lock()
         original = c._probe
 
-        def counting_probe(direction, shape, dtype, workers=1):
+        def counting_probe(direction, shape, dtype):
             with probe_lock:
-                probes.append((direction, shape, workers))
-            return original(direction, shape, dtype, workers)
+                probes.append((direction, shape))
+            return original(direction, shape, dtype)
 
         c._probe = counting_probe
         inputs = [

@@ -72,15 +72,22 @@ class TestNonfiniteBitIdentity:
             b = dense.decompress(Tensor(y)).data
         assert np.array_equal(a, b, equal_nan=True)
 
-    def test_parallel_also_pins_to_dense(self, method, kind, rng):
+    def test_guarded_fast_path_also_pins_to_dense(self, method, kind, rng):
+        # Armed ABFT guards run on the same tiled kernels; a non-finite
+        # plane still takes the dense oracle in both directions.
+        from repro.integrity import IntegrityPolicy, integrity_guards
+
         n = 64
-        fanned = make_compressor(n, method=method, cf=4, fast=True, workers=2)
+        fast = make_compressor(n, method=method, cf=4, fast=True)
         dense = make_compressor(n, method=method, cf=4, fast=False)
         x = Tensor(_poisoned(rng, n, kind))
-        with no_grad():
-            a = fanned.compress(x).data
+        with no_grad(), integrity_guards(IntegrityPolicy()):
+            a = fast.compress(x).data
             b = dense.compress(x).data
+            ra = fast.decompress(Tensor(b)).data
+            rb = dense.decompress(Tensor(b)).data
         assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(ra, rb, equal_nan=True)
 
 
 def test_nonfinite_poisoning_is_contractual(rng):

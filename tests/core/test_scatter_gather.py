@@ -88,13 +88,30 @@ class TestRoundtrip:
             sg.roundtrip(x).numpy(), reference_sg_roundtrip(x, 5), atol=1e-4
         )
 
-    def test_index_cache_reused(self, rng):
+    def test_indices_are_a_readonly_view(self):
         sg = ScatterGatherCompressor(16, cf=3)
-        x = rng.standard_normal((2, 16, 16)).astype(np.float32)
-        sg.compress(x)
-        cached = sg._index_cache[(2,)]
-        sg.compress(x)
-        assert sg._index_cache[(2,)] is cached
+        idx = sg._indices_for((2, 3))
+        assert idx.shape == (2, 3, sg.nblocks, sg.values_per_block)
+        assert not idx.flags.writeable
+        assert np.shares_memory(idx, sg._tri)
+        assert np.array_equal(idx[1, 2, 3], sg._tri)
+
+    def test_many_batch_shapes_retain_no_index_memory(self, rng):
+        import tracemalloc
+
+        sg = ScatterGatherCompressor(128, cf=4)
+        sg.compress(rng.standard_normal((1, 3, 128, 128)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for b in range(1, 41):
+                x = np.zeros((b, 3, 128, 128), np.float32)
+                sg.decompress(sg.compress(x))
+            del x
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
 
     def test_roundtrip_is_projection(self, rng):
         x = rng.standard_normal((1, 32, 32)).astype(np.float32)
