@@ -103,10 +103,9 @@ def make_compressor(
     if fast == "auto":
         from repro.core import autotune
 
-        # Plan at the plane resolution the method actually executes
-        # (PS runs the inner chunk-resolution compressor per cell).
-        plan_h, plan_w = (height // s, width // s) if method == "ps" else (height, width)
-        plan = autotune.planned(plan_h, plan_w, cf=cf, block=block)
+        # Every method's fast path runs one whole-plane tiled kernel
+        # (PS included), so plan at the plane resolution.
+        plan = autotune.planned(height, width, cf=cf, block=block)
         fast = plan.fast
     elif isinstance(fast, str):
         raise ConfigError(f'fast must be True, False, None, or "auto", got {fast!r}')

@@ -48,7 +48,90 @@ def _block_diagonal(mat: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-class DCTChopCompressor:
+class ProbedFastPath:
+    """Probe-gated dispatch between the tiled kernels and a dense oracle.
+
+    Shared by the compressors whose fast path is one tiled kernel call
+    (DC, and PS, whose oracle is its chunked dense program).  Subclasses
+    set ``cf``/``block`` and the four kernels ``_compress_dense``,
+    ``_compress_tiled``, ``_decompress_dense`` and ``_decompress_tiled``.
+    """
+
+    def _init_fast_path(self, fast: bool | None) -> None:
+        self._fast = fast
+        # (direction, lead shape, dtype) -> probe verdict
+        # (True = fast ok).  The lock serializes probe-and-insert: without
+        # it, concurrent first-calls on one shape probe twice and racing
+        # inserts can evict live verdicts mid-update.
+        self._verdicts: OrderedDict[tuple, bool] = OrderedDict()
+        self._verdict_lock = threading.Lock()
+
+    def _use_fast(self, shape: tuple[int, ...], dtype, direction: str) -> bool:
+        """Whether this exact call shape runs the tiled kernels.
+
+        True only when the fast path is enabled *and* the seeded
+        equivalence probe has proven this ``(direction, batch, dtype)``
+        bit-identical to the dense oracle.  Verdicts are cached (bounded).
+        The lock is held across the probe itself so concurrent first-calls
+        on one shape cannot probe it twice.
+        """
+        if not fused.fast_path_active(self._fast):
+            return False
+        key = (direction, shape[:-2], np.dtype(dtype).str)
+        with self._verdict_lock:
+            verdict = self._verdicts.get(key)
+            if verdict is None:
+                verdict = self._probe(direction, shape, dtype)
+                fused.record_probe(verdict)
+                while len(self._verdicts) >= _VERDICT_CAP:
+                    self._verdicts.popitem(last=False)
+                self._verdicts[key] = verdict
+        return verdict
+
+    def _probe(self, direction: str, shape: tuple[int, ...], dtype) -> bool:
+        """Run dense and tiled on seeded data of this shape; compare bytes.
+
+        Runs with fault injection suspended: a scripted SDC flip landing in
+        the probe's tiled leg would fail the comparison and wrongly pin the
+        shape dense forever (besides desynchronising the fault script).
+        The arena is bypassed so probe shapes never reserve buffers.
+        """
+        data = fused.probe_input(
+            shape, dtype, cf=self.cf, block=self.block, direction=direction
+        )
+        with suspend_faults(), no_grad(), arena_mod.bypass():
+            t = Tensor(data, dtype=data.dtype)
+            if direction == "compress":
+                dense = self._compress_dense(t).data
+                tiled = self._compress_tiled(t).data
+            else:
+                dense = self._decompress_dense(t).data
+                tiled = self._decompress_tiled(t).data
+        return np.array_equal(dense, tiled)
+
+    def _run_compress(self, x: Tensor) -> Tensor:
+        """The tiled kernel when probe-verified, else the dense oracle.
+
+        Non-finite inputs are detected on the (small) compressed result —
+        IEEE propagation guarantees a poisoned plane yields non-finite
+        retained coefficients — and re-routed to the dense oracle, whose
+        ``0 * inf`` row-poisoning *is* the contractual output.
+        """
+        if not self._use_fast(x.shape, x.dtype, "compress"):
+            return self._compress_dense(x)
+        result = self._compress_tiled(x)
+        if fused.has_nonfinite(result.data):
+            return self._compress_dense(x)
+        return result
+
+    def _run_decompress(self, y: Tensor) -> Tensor:
+        # The input *is* the small compressed side — check it directly.
+        if fused.has_nonfinite(y.data) or not self._use_fast(y.shape, y.dtype, "decompress"):
+            return self._decompress_dense(y)
+        return self._decompress_tiled(y)
+
+
+class DCTChopCompressor(ProbedFastPath):
     """Fixed-shape DCT+Chop compressor for planes of size ``height x width``.
 
     Shapes are fixed at construction because every target accelerator's
@@ -104,7 +187,7 @@ class DCTChopCompressor:
         self.width = width
         self.cf = cf
         self.block = block
-        self._fast = fast
+        self._init_fast_path(fast)
 
         # "Computed offline ... during compilation" (Section 3.3).
         # Forward (per block): D = T A T^T; inverse: A = S D S^T with
@@ -152,12 +235,6 @@ class DCTChopCompressor:
         self._fops = ops
         # Backward of either direction runs the other kernel with these.
         self._adj = fused.adjoint(ops)
-        # (direction, lead shape, dtype) -> probe verdict
-        # (True = fast ok).  The lock serializes probe-and-insert: without
-        # it, concurrent first-calls on one shape probe twice and racing
-        # inserts can evict live verdicts mid-update.
-        self._verdicts: OrderedDict[tuple, bool] = OrderedDict()
-        self._verdict_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -212,52 +289,6 @@ class DCTChopCompressor:
             )
 
     # ------------------------------------------------------------------
-    # Fast-path dispatch (see repro.core.fused for the full story)
-    # ------------------------------------------------------------------
-    def _use_fast(self, shape: tuple[int, ...], dtype, direction: str) -> bool:
-        """Whether this exact call shape runs the tiled kernels.
-
-        True only when the fast path is enabled *and* the seeded
-        equivalence probe has proven this ``(direction, batch, dtype)``
-        bit-identical to the dense oracle.  Verdicts are cached (bounded).
-        The lock is held across the probe itself so concurrent first-calls
-        on one shape cannot probe it twice.
-        """
-        if not fused.fast_path_active(self._fast):
-            return False
-        key = (direction, shape[:-2], np.dtype(dtype).str)
-        with self._verdict_lock:
-            verdict = self._verdicts.get(key)
-            if verdict is None:
-                verdict = self._probe(direction, shape, dtype)
-                fused.record_probe(verdict)
-                while len(self._verdicts) >= _VERDICT_CAP:
-                    self._verdicts.popitem(last=False)
-                self._verdicts[key] = verdict
-        return verdict
-
-    def _probe(self, direction: str, shape: tuple[int, ...], dtype) -> bool:
-        """Run dense and tiled on seeded data of this shape; compare bytes.
-
-        Runs with fault injection suspended: a scripted SDC flip landing in
-        the probe's tiled leg would fail the comparison and wrongly pin the
-        shape dense forever (besides desynchronising the fault script).
-        The arena is bypassed so probe shapes never reserve buffers.
-        """
-        data = fused.probe_input(
-            shape, dtype, cf=self.cf, block=self.block, direction=direction
-        )
-        with suspend_faults(), no_grad(), arena_mod.bypass():
-            t = Tensor(data, dtype=data.dtype)
-            if direction == "compress":
-                dense = self._compress_dense(t).data
-                tiled = self._compress_tiled(t).data
-            else:
-                dense = self._decompress_dense(t).data
-                tiled = self._decompress_tiled(t).data
-        return np.array_equal(dense, tiled)
-
-    # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
     # NaN/Inf inputs are contractual on the dense oracle (see fused.py),
@@ -270,25 +301,11 @@ class DCTChopCompressor:
         with np.errstate(invalid="ignore"):
             return rt.matmul(self._rhs_d, rt.matmul(y, self._lhs_d))
 
-    def _compress_tiled(self, x: Tensor, *, blocks: bool = False) -> Tensor:
-        return fused.TiledCompress.apply(x, ops=self._fops, adj=self._adj, blocks=blocks)
+    def _compress_tiled(self, x: Tensor) -> Tensor:
+        return fused.TiledCompress.apply(x, ops=self._fops, adj=self._adj)
 
-    def _decompress_tiled(self, y: Tensor, *, from_blocks: bool = False) -> Tensor:
-        return fused.TiledDecompress.apply(
-            y, ops=self._fops, adj=self._adj,
-            nbh=self.height // self.block, nbw=self.width // self.block,
-            from_blocks=from_blocks,
-        )
-
-    @profiled("core.dc.compress", matmuls=2)
-    def _compress_tiled_blocks(self, x: Tensor) -> Tensor:
-        """Blocks-layout tiled compress, profiled as the DC work it is."""
-        return self._compress_tiled(x, blocks=True)
-
-    @profiled("core.dc.decompress", matmuls=2)
-    def _decompress_tiled_blocks(self, y: Tensor) -> Tensor:
-        """Blocks-layout tiled decompress, profiled as the DC work it is."""
-        return self._decompress_tiled(y, from_blocks=True)
+    def _decompress_tiled(self, y: Tensor) -> Tensor:
+        return fused.TiledDecompress.apply(y, ops=self._fops, adj=self._adj)
 
     @profiled("core.dc.compress", matmuls=2)
     def compress(self, x) -> Tensor:
@@ -297,19 +314,10 @@ class DCTChopCompressor:
         Executed via the tiled fast path when enabled and probe-verified
         for this shape (bit-identical output either way); the dense
         two-matmul form remains the oracle and the traced device program.
-        Non-finite inputs are detected on the (small) compressed result —
-        IEEE propagation guarantees a poisoned plane yields non-finite
-        retained coefficients — and re-routed to the dense oracle, whose
-        ``0 * inf`` row-poisoning *is* the contractual output.
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
         self._check_plane(x.shape)
-        if not self._use_fast(x.shape, x.dtype, "compress"):
-            return self._compress_dense(x)
-        result = self._compress_tiled(x)
-        if fused.has_nonfinite(result.data):
-            return self._compress_dense(x)
-        return result
+        return self._run_compress(x)
 
     @profiled("core.dc.decompress", matmuls=2)
     def decompress(self, y) -> Tensor:
@@ -320,10 +328,7 @@ class DCTChopCompressor:
                 f"expected compressed planes of "
                 f"{self.compressed_height}x{self.compressed_width}, got {y.shape}"
             )
-        # The input *is* the small compressed side — check it directly.
-        if fused.has_nonfinite(y.data) or not self._use_fast(y.shape, y.dtype, "decompress"):
-            return self._decompress_dense(y)
-        return self._decompress_tiled(y)
+        return self._run_decompress(y)
 
     def roundtrip(self, x) -> Tensor:
         """Compress then decompress — the per-batch op used during training."""

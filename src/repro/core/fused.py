@@ -1,24 +1,24 @@
-"""Tiled fast path: batched block kernels for the compressor hot loop.
+"""Tiled fast path: block-diagonal kernels for the compressor hot loop.
 
 The paper's pitch is that DCT+Chop is "exactly two matrix multiplications"
 — but the host-side reference realises ``Y = (M T_L) A (T_L^T M^T)`` with
 dense ``n x n`` operands, an O(n^3)-per-plane computation even though the
 block-diagonal structure only ever mixes values inside one ``8 x 8`` tile.
-This module provides the O(n^2 * block) equivalent: reshape the plane into
-``block x block`` tiles and apply one precomputed *fused* operator pair per
-side, exactly like zfp's fixed-rate block codec and JPEG's tiled DCT
-pipeline.
+This module provides the O(n^2 * block) equivalent with one precomputed
+``(cf, block)`` / ``(block, cf)`` operator per side (Eq. 4/6, Sec. 3.3):
+the same two GEMMs, with the block-diagonal operand applied as one small
+block, and no layout shuffles in between.
 
-Per tile the computation is ``Y_t = (M_b T) A_t (T^T M_b^T)`` with
-``(cf, block)`` / ``(block, cf)`` operands.  It is executed as two large
-skinny GEMMs over all tiles at once (inner dimension ``block``), not as
-thousands of tiny per-tile matmuls:
+Compress ``(..., H, W) -> (..., cf*nbh, cf*nbw)``:
 
-1. reshape ``(..., H, W) -> (..., nbh, B, nbw, B)`` and contract the last
-   axis with ``enc_r`` in a single ``(M, B) @ (B, cf)`` GEMM;
-2. transpose the row-in-block axis to the end and contract it with
-   ``enc_l^T`` in a second ``(M', B) @ (B, cf)`` GEMM;
-3. transpose/reshape back to the compressed plane layout.
+1. column transform: ``x.reshape(-1, B) @ enc_r`` — contiguous, and it
+   lands in ``(..., H, nbw*cf)``;
+2. row transform: ``enc_l @ g.reshape(-1, B, nbw*cf)``, the ``(cf, B)``
+   operator broadcast over block rows — it lands directly in the dense
+   compressed layout.
+
+Decompress runs the same two steps with ``dec_r`` then ``dec_l``, column
+inverse first (the dense evaluation order), landing in the plane layout.
 
 Bit-identity with the dense path
 --------------------------------
@@ -60,15 +60,16 @@ which is ``cf^2/block^2`` of the plane data.
 One kernel family
 -----------------
 :func:`tiled_compress_nd` / :func:`tiled_decompress_nd` are the only
-tiled kernels.  They write through ``out=`` buffers (the preallocated
-:mod:`repro.core.arena` when one is active) and issue both GEMMs through
-one hook, :func:`_gemm`, so the ``gemm`` SDC site and the ABFT checksum
-(:mod:`repro.integrity.abft`) guard the same path plain traffic runs.
-Training uses them too: :class:`TiledCompress` / :class:`TiledDecompress`
-wrap each direction as one autograd op whose backward is the *other*
-direction's kernel run with the transposed operators (:func:`adjoint`) —
-compression is linear, and Eq. 6 already transposes the operands, so for
-the DCT the adjoint operators are exactly the existing ones.
+tiled kernels, and every method runs them on whole planes.  They write
+through ``out=`` buffers (the preallocated :mod:`repro.core.arena` when
+one is active) and issue both GEMMs through one hook, :func:`_gemm`, so
+the ``gemm`` SDC site and the ABFT checksum (:mod:`repro.integrity.abft`)
+guard the same path plain traffic runs.  Training uses them too:
+:class:`TiledCompress` / :class:`TiledDecompress` wrap each direction as
+one autograd op whose backward is the *other* direction's kernel run with
+the transposed operators (:func:`adjoint`) — compression is linear, and
+Eq. 6 already transposes the operands, so for the DCT the adjoint
+operators are exactly the existing ones.
 """
 
 from __future__ import annotations
@@ -181,13 +182,12 @@ class FusedOps:
     """Per-block operator pair for one ``(block, cf)`` configuration.
 
     All arrays are contiguous and read-only, oriented the way the tiled
-    kernels consume them (the row-side operators pre-transposed so both
-    GEMMs contract the *last* axis):
+    kernels consume them (``x @ enc_r``, then ``enc_l @ g``):
 
-    * ``enc_r``  — ``T^T M_b^T``      ``(block, cf)``  column transform
-    * ``enc_lT`` — ``(M_b T)^T``      ``(block, cf)``  row transform
-    * ``dec_r``  — ``M_b S^T``        ``(cf, block)``  column inverse
-    * ``dec_lT`` — ``(S M_b^T)^T``    ``(cf, block)``  row inverse
+    * ``enc_r`` — ``T^T M_b^T``  ``(block, cf)``  column transform
+    * ``enc_l`` — ``M_b T``      ``(cf, block)``  row transform
+    * ``dec_r`` — ``M_b S^T``    ``(cf, block)``  column inverse
+    * ``dec_l`` — ``S M_b^T``    ``(block, cf)``  row inverse
 
     For the orthonormal DCT ``S = T^T`` and the four collapse to slices
     of ``T``; custom transforms keep all four distinct.
@@ -196,9 +196,9 @@ class FusedOps:
     block: int
     cf: int
     enc_r: np.ndarray
-    enc_lT: np.ndarray
+    enc_l: np.ndarray
     dec_r: np.ndarray
-    dec_lT: np.ndarray
+    dec_l: np.ndarray
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -226,9 +226,9 @@ def from_dense_operands(
         block=block,
         cf=cf,
         enc_r=_freeze(rhs[:block, :cf]),
-        enc_lT=_freeze(lhs[:cf, :block].T),
+        enc_l=_freeze(lhs[:cf, :block]),
         dec_r=_freeze(lhs_d[:cf, :block]),
-        dec_lT=_freeze(rhs_d[:block, :cf].T),
+        dec_l=_freeze(rhs_d[:block, :cf]),
     )
 
 
@@ -236,7 +236,7 @@ def adjoint(ops: FusedOps) -> FusedOps:
     """The operator pair of the transposed maps (read-only, contiguous).
 
     Compress ``Y = L X R`` has adjoint ``dX = L^T dY R^T``, which is the
-    decompress kernel with ``dec_r = enc_r^T`` and ``dec_lT = enc_lT^T``;
+    decompress kernel with ``dec_l = enc_l^T`` and ``dec_r = enc_r^T``;
     symmetrically for decompress.  For the orthonormal DCT the result
     equals ``ops`` itself; custom transforms get their true adjoint.
     """
@@ -244,9 +244,9 @@ def adjoint(ops: FusedOps) -> FusedOps:
         block=ops.block,
         cf=ops.cf,
         enc_r=_freeze(ops.dec_r.T),
-        enc_lT=_freeze(ops.dec_lT.T),
+        enc_l=_freeze(ops.dec_l.T),
         dec_r=_freeze(ops.enc_r.T),
-        dec_lT=_freeze(ops.enc_lT.T),
+        dec_l=_freeze(ops.enc_l.T),
     )
 
 
@@ -279,9 +279,9 @@ def fused_operators(block: int = 8, cf: int = 4, dtype=np.float32) -> FusedOps:
         block=int(block),
         cf=int(cf),
         enc_r=_freeze(t[:cf].T),
-        enc_lT=_freeze(t[:cf].T),
+        enc_l=_freeze(t[:cf]),
         dec_r=_freeze(t[:cf]),
-        dec_lT=_freeze(t[:cf]),
+        dec_l=_freeze(t[:cf].T),
     )
     with _fused_lock:
         existing = _fused_cache.get(key)
@@ -360,17 +360,9 @@ def _output(arena, tag: str, shape: tuple[int, ...], dtype, out) -> np.ndarray:
 
 
 def tiled_compress_nd(
-    x: np.ndarray,
-    ops: FusedOps,
-    *,
-    blocks: bool = False,
-    out: np.ndarray | None = None,
+    x: np.ndarray, ops: FusedOps, *, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``(..., H, W) -> (..., cf*nbh, cf*nbw)`` via two skinny GEMMs.
-
-    With ``blocks=True`` the output is the SG block layout
-    ``(..., nbh*nbw, cf*cf)`` instead — the same GEMMs, one fewer layout
-    shuffle than compress-then-reshuffle.
+    """``(..., H, W) -> (..., cf*nbh, cf*nbw)`` via two GEMMs.
 
     Buffers come from the active :class:`~repro.core.arena.Arena` when
     one is installed (zero steady-state allocations), else ``np.empty``.
@@ -382,70 +374,37 @@ def tiled_compress_nd(
     lead = x.shape[:-2]
     nbh = x.shape[-2] // block
     nbw = x.shape[-1] // block
-    rows = math.prod(lead) * nbh
     rdtype = np.result_type(x.dtype, ops.enc_r.dtype)
     arena = arena_mod.current()
-    g1 = _scratch(arena, "c.g1", (rows, block, nbw, cf), rdtype)
-    s2 = _scratch(arena, "c.s2", (rows, nbw, cf, block), rdtype)
-    g2 = _scratch(arena, "c.g2", (rows, nbw, cf, cf), rdtype)
-    if blocks:
-        out_shape = lead + (nbh * nbw, cf * cf)
-    else:
-        out_shape = lead + (cf * nbh, cf * nbw)
-    out = _output(arena, "c.out" + (".blocks" if blocks else ""), out_shape, rdtype, out)
+    g = _scratch(arena, "c.g", (math.prod(lead) * nbh, block, nbw * cf), rdtype)
+    out = _output(arena, "c.out", lead + (cf * nbh, cf * nbw), rdtype, out)
     with np.errstate(invalid="ignore"):
-        # Column transform (GEMM 1, K=block): (rows*B*nbw, B) @ (B, cf).
-        _gemm(x.reshape(-1, block), ops.enc_r, g1.reshape(-1, cf))
-        # (r, b, c, q) -> (r, c, q, b): in-block row axis last.
-        np.copyto(s2, g1.transpose(0, 2, 3, 1))
-        # Row transform (GEMM 2, K=block) -> (r, c, q, p).
-        _gemm(s2.reshape(-1, block), ops.enc_lT, g2.reshape(-1, cf))
-    if blocks:
-        # (r, c, q, p) -> (r, c, p, q): SG block layout.
-        np.copyto(out.reshape(rows, nbw, cf, cf), g2.transpose(0, 1, 3, 2))
-    else:
-        # (r, c, q, p) -> (r, p, c, q): dense compressed layout.
-        np.copyto(out.reshape(rows, cf, nbw, cf), g2.transpose(0, 3, 1, 2))
+        # Column transform: (rows*B*nbw, B) @ (B, cf) -> (..., H, nbw*cf).
+        _gemm(x.reshape(-1, block), ops.enc_r, g.reshape(-1, cf))
+        # Row transform, (cf, B) broadcast over block rows.
+        _gemm(ops.enc_l, g, out.reshape(-1, cf, nbw * cf))
     return out
 
 
 def tiled_decompress_nd(
-    y: np.ndarray,
-    ops: FusedOps,
-    nbh: int,
-    nbw: int,
-    *,
-    from_blocks: bool = False,
-    out: np.ndarray | None = None,
+    y: np.ndarray, ops: FusedOps, *, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Inverse of :func:`tiled_compress_nd` (``from_blocks`` takes SG layout)."""
+    """Inverse of :func:`tiled_compress_nd`: ``(..., cf*nbh, cf*nbw) -> (..., H, W)``."""
     block, cf = ops.block, ops.cf
     y = _ingest(y)
     lead = y.shape[:-2]
-    rows = math.prod(lead) * nbh
+    nbh = y.shape[-2] // cf
+    nbw = y.shape[-1] // cf
     rdtype = np.result_type(y.dtype, ops.dec_r.dtype)
     arena = arena_mod.current()
-    g1 = _scratch(arena, "d.g1", (rows, nbw, cf, block), rdtype)
-    s1 = _scratch(arena, "d.s1", (rows, nbw, block, cf), rdtype)
-    g2 = _scratch(arena, "d.g2", (rows, nbw, block, block), rdtype)
+    g = _scratch(arena, "d.g", (math.prod(lead) * nbh, cf, nbw * block), rdtype)
     out = _output(arena, "d.out", lead + (nbh * block, nbw * block), rdtype, out)
-    if from_blocks:
-        # Blocks layout is already (r, c, p, q) — the GEMM input, no copy.
-        s0 = y
-    else:
-        # (r, p, c, q) -> (r, c, p, q).
-        s0 = _scratch(arena, "d.s0", (rows, nbw, cf, cf), y.dtype)
-        np.copyto(s0, y.reshape(rows, cf, nbw, cf).transpose(0, 2, 1, 3))
     with np.errstate(invalid="ignore"):
-        # Column inverse first (matches the dense evaluation order):
-        # (rows*nbw*cf, cf) @ (cf, B) -> (r, c, p, bc).
-        _gemm(s0.reshape(-1, cf), ops.dec_r, g1.reshape(-1, block))
-        # (r, c, p, bc) -> (r, c, bc, p).
-        np.copyto(s1, g1.transpose(0, 1, 3, 2))
-        # Row inverse -> (r, c, bc, br).
-        _gemm(s1.reshape(-1, cf), ops.dec_lT, g2.reshape(-1, block))
-    # (r, c, bc, br) -> (r, br, c, bc): the plane layout.
-    np.copyto(out.reshape(rows, block, nbw, block), g2.transpose(0, 3, 1, 2))
+        # Column inverse first (the dense evaluation order):
+        # (rows*cf*nbw, cf) @ (cf, B) -> (..., cf*nbh, W).
+        _gemm(y.reshape(-1, cf), ops.dec_r, g.reshape(-1, block))
+        # Row inverse, (B, cf) broadcast over block rows.
+        _gemm(ops.dec_l, g, out.reshape(-1, block, nbw * block))
     return out
 
 
@@ -475,31 +434,28 @@ class TiledCompress(_TiledOp):
     decompress kernel run with the adjoint operators (:func:`adjoint`).
     """
 
-    def forward(self, x, *, ops: FusedOps, adj: FusedOps, blocks: bool = False):
-        self.save(adj, x.shape[-2] // ops.block, x.shape[-1] // ops.block, blocks)
-        return tiled_compress_nd(x, ops, blocks=blocks)
+    def forward(self, x, *, ops: FusedOps, adj: FusedOps):
+        self.save(adj)
+        return tiled_compress_nd(x, ops)
 
     def backward(self, grad):
-        adj, nbh, nbw, blocks = self.saved
+        (adj,) = self.saved
         with arena_mod.bypass():
-            return (tiled_decompress_nd(grad, adj, nbh, nbw, from_blocks=blocks),)
+            return (tiled_decompress_nd(grad, adj),)
 
 
 class TiledDecompress(_TiledOp):
     """Differentiable :func:`tiled_decompress_nd`; backward is compress
     with the adjoint operators."""
 
-    def forward(
-        self, y, *, ops: FusedOps, adj: FusedOps, nbh: int, nbw: int,
-        from_blocks: bool = False,
-    ):
-        self.save(adj, from_blocks)
-        return tiled_decompress_nd(y, ops, nbh, nbw, from_blocks=from_blocks)
+    def forward(self, y, *, ops: FusedOps, adj: FusedOps):
+        self.save(adj)
+        return tiled_decompress_nd(y, ops)
 
     def backward(self, grad):
-        adj, blocks = self.saved
+        (adj,) = self.saved
         with arena_mod.bypass():
-            return (tiled_compress_nd(grad, adj, blocks=blocks),)
+            return (tiled_compress_nd(grad, adj),)
 
 
 def probe_input(shape: tuple[int, ...], dtype, *, cf: int, block: int, direction: str) -> np.ndarray:

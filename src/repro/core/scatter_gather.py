@@ -8,6 +8,11 @@ coefficients with ``i + j < CF`` — via one ``gather`` with indices
 precomputed at compile time, improving the ratio by ``2CF/(CF+1)``.
 Decompression ``scatter``s the retained values back to their block
 positions and then runs the normal DC decompression.
+
+Both index the dense compressed plane directly: one flat index, built at
+construction, names every retained coefficient's position in
+``(..., CF*nbh, CF*nbw)``, so there is no layout shuffle on either side
+and the host fast path is DC's own.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import numpy as np
 
 import repro.tensor as rt
 from repro.core import flops as flops_mod
-from repro.core import fused
 from repro.core.dct import DEFAULT_BLOCK
 from repro.core.mask import triangle_count, triangle_indices
 from repro.errors import ShapeError
@@ -47,9 +51,16 @@ class ScatterGatherCompressor:
         self.width = self.inner.width
         self.cf = self.inner.cf
         self.block = self.inner.block
-        # Indices of the retained triangle within a flattened CF x CF block;
-        # known at compile time, never shipped with the data.
-        self._tri = triangle_indices(self.cf)
+        # Flat position of each retained coefficient in the dense
+        # compressed plane, block-major then triangle order; known at
+        # compile time, never shipped with the data.
+        cf, nbw = self.cf, self.nblocks_w
+        tri_r, tri_c = np.divmod(triangle_indices(cf), cf)
+        blk_r, blk_c = np.divmod(np.arange(self.nblocks), nbw)
+        rows = blk_r[:, None] * cf + tri_r
+        cols = blk_c[:, None] * cf + tri_c
+        self._flat = (rows * self.inner.compressed_width + cols).reshape(1, -1)
+        self._flat.flags.writeable = False
 
     @property
     def nblocks_h(self) -> int:
@@ -79,80 +90,38 @@ class ScatterGatherCompressor:
             )
         return input_shape[:-2] + (self.nblocks, self.values_per_block)
 
-    # ------------------------------------------------------------------
-    # Block layout shuffles (pure reshape/transpose — free on device)
-    # ------------------------------------------------------------------
-    def _to_blocks(self, y: Tensor) -> Tensor:
-        """(..., CF*nbh, CF*nbw) -> (..., nblocks, CF*CF)."""
-        lead = y.shape[:-2]
-        nbh, nbw, cf = self.nblocks_h, self.nblocks_w, self.cf
-        t = y.reshape(*lead, nbh, cf, nbw, cf)
-        ndim = t.ndim
-        axes = tuple(range(ndim - 4)) + (ndim - 4, ndim - 2, ndim - 3, ndim - 1)
-        t = t.transpose(*axes)  # (..., nbh, nbw, cf, cf)
-        return t.reshape(*lead, nbh * nbw, cf * cf)
-
-    def _from_blocks(self, b: Tensor) -> Tensor:
-        """(..., nblocks, CF*CF) -> (..., CF*nbh, CF*nbw)."""
-        lead = b.shape[:-2]
-        nbh, nbw, cf = self.nblocks_h, self.nblocks_w, self.cf
-        t = b.reshape(*lead, nbh, nbw, cf, cf)
-        ndim = t.ndim
-        axes = tuple(range(ndim - 4)) + (ndim - 4, ndim - 2, ndim - 3, ndim - 1)
-        t = t.transpose(*axes)  # (..., nbh, cf, nbw, cf)
-        return t.reshape(*lead, nbh * cf, nbw * cf)
-
     def _indices_for(self, lead: tuple[int, ...]) -> np.ndarray:
         """Gather/scatter index tensor broadcast to the full operand shape.
 
-        A read-only zero-stride view of the ``cf*(cf+1)/2`` triangle
-        indices: nothing is materialised or kept per batch shape.
+        A read-only zero-stride view of the flat index: nothing is
+        materialised or kept per batch shape.
         """
-        shape = lead + (self.nblocks, self.values_per_block)
-        return np.broadcast_to(self._tri, shape)
+        return np.broadcast_to(self._flat, lead + self._flat.shape)
 
     # ------------------------------------------------------------------
     # Compress / decompress
     # ------------------------------------------------------------------
     @profiled("core.sg.compress")
     def compress(self, x) -> Tensor:
-        """DC compress, reshape to blocks, then gather the triangle.
-
-        On the tiled fast path the kernels emit the ``(..., nblocks,
-        CF*CF)`` layout directly, skipping the dense-layout round trip —
-        the layout shuffle is exact either way, so the probe verdict from
-        the plain compress transfers (identical GEMM shapes).
-        """
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        self.inner._check_plane(x.shape)
-        if self.inner._use_fast(x.shape, x.dtype, "compress"):
-            blocks = self.inner._compress_tiled_blocks(x)
-            if fused.has_nonfinite(blocks.data):
-                # Non-finite planes take the dense oracle, whose 0*inf
-                # row-poisoning is the contractual output (see fused.py).
-                blocks = self._to_blocks(self.inner._compress_dense(x))
-        else:
-            blocks = self._to_blocks(self.inner.compress(x))
-        return rt.gather(blocks, -1, self._indices_for(x.shape[:-2]))
+        """DC compress, then gather the triangle out of the dense layout."""
+        y = self.inner.compress(x)
+        lead = y.shape[:-2]
+        flat = y.reshape(*lead, 1, -1)
+        z = rt.gather(flat, -1, self._indices_for(lead))
+        return z.reshape(*lead, self.nblocks, self.values_per_block)
 
     @profiled("core.sg.decompress")
     def decompress(self, z) -> Tensor:
-        """Scatter the triangle back into CFxCF blocks, then DC decompress."""
+        """Scatter the triangle back into the dense layout, then DC decompress."""
         z = z if isinstance(z, Tensor) else Tensor(z)
         expected = (self.nblocks, self.values_per_block)
         if z.shape[-2:] != expected:
             raise ShapeError(f"expected (..., {expected[0]}, {expected[1]}), got {z.shape}")
-        blocks = rt.scatter(z, -1, self._indices_for(z.shape[:-2]), self.cf * self.cf)
-        dense_layout_shape = z.shape[:-2] + (
-            self.inner.compressed_height, self.inner.compressed_width,
-        )
-        # The retained triangle is the small compressed side: check it for
-        # non-finite data before the fast path may run (pin to dense).
-        if not fused.has_nonfinite(z.data) and self.inner._use_fast(
-            dense_layout_shape, z.dtype, "decompress"
-        ):
-            return self.inner._decompress_tiled_blocks(blocks)
-        return self.inner.decompress(self._from_blocks(blocks))
+        lead = z.shape[:-2]
+        ch, cw = self.inner.compressed_height, self.inner.compressed_width
+        flat = z.reshape(*lead, 1, -1)
+        y = rt.scatter(flat, -1, self._indices_for(lead), ch * cw)
+        return self.inner.decompress(y.reshape(*lead, ch, cw))
 
     def roundtrip(self, x) -> Tensor:
         return self.decompress(self.compress(x))

@@ -5,19 +5,26 @@ An input batch ``BD x C x n x n`` is subdivided by a factor ``s`` into
 *serially* with a DC compressor compiled for the chunk resolution, so the
 ``LHS``/``RHS`` operands shrink by ``s`` per side and the on-chip working
 set by ``s*s`` — this is what lets 512x512 inputs compile on SN30 and IPU.
+
+The chunk loop is a device-memory strategy: on the host the block
+transform never crosses a chunk edge, so the tiled fast path runs one
+whole-plane kernel call.  The serial chunk loop stays as the dense oracle
+(and the traced device program); the seeded probe and the non-finite pin
+compare against it, not against whole-plane dense DC, whose float
+accumulation differs from the chunked program on some shapes.
 """
 
 from __future__ import annotations
 
 import repro.tensor as rt
-from repro.core import arena as arena_mod
+from repro.core.chop import ProbedFastPath
 from repro.core.dct import DEFAULT_BLOCK
 from repro.errors import ConfigError, ShapeError, require_int
 from repro.obs.profile import profiled
 from repro.tensor import Tensor
 
 
-class PartialSerializedCompressor:
+class PartialSerializedCompressor(ProbedFastPath):
     """DC compressor applied serially to ``s x s`` spatial subdivisions."""
 
     method = "ps"
@@ -46,14 +53,14 @@ class PartialSerializedCompressor:
         self.height = height
         self.width = width
         self.s = s
-        # The device only ever sees the chunk-resolution compressor; the
-        # tiled fast path applies per chunk, inside the serial loop (the
-        # loop *is* PS — it bounds the working set to one chunk).  It is
-        # the shared DC instance for that resolution, so probe verdicts
-        # are shared with plain DC traffic (lazy import: api imports us).
+        # The device only ever sees the chunk-resolution compressor: its
+        # dense operands are the oracle's, and its fused operators are the
+        # whole-plane kernel's (the per-block operators do not depend on
+        # the plane size).  Shared DC instance (lazy import: api imports us).
         from repro.core.api import make_compressor
 
         self.inner = make_compressor(height // s, width // s, cf=cf, block=block, fast=fast)
+        self._init_fast_path(fast)
 
     @property
     def cf(self) -> int:
@@ -90,42 +97,50 @@ class PartialSerializedCompressor:
 
     def _map_chunks(self, fn, t: Tensor, ch: int, cw: int) -> Tensor:
         """Apply ``fn`` to each ``ch x cw`` chunk serially, row-major, and
-        reassemble the results in the same spatial grid.
-
-        All ``s*s`` chunk results must stay alive until reassembly, but an
-        active arena's ring hands out only ``slots`` buffers per shape, so
-        the chunk calls bypass it.
-        """
-        with arena_mod.bypass():
-            parts = [
-                fn(t[..., r * ch : (r + 1) * ch, c * cw : (c + 1) * cw])
-                for r in range(self.s)
-                for c in range(self.s)
-            ]
+        reassemble the results in the same spatial grid."""
+        parts = [
+            fn(t[..., r * ch : (r + 1) * ch, c * cw : (c + 1) * cw])
+            for r in range(self.s)
+            for c in range(self.s)
+        ]
         rows = [
             rt.concatenate(parts[r * self.s : (r + 1) * self.s], axis=-1)
             for r in range(self.s)
         ]
         return rt.concatenate(rows, axis=-2)
 
-    @profiled("core.ps.compress")
-    def compress(self, x) -> Tensor:
-        """Serially compress each chunk; chunks are reassembled in a grid so
-        the compressed tensor keeps the input's spatial arrangement."""
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        self._check(x.shape, self.height, self.width)
+    # The serial chunk program is the oracle; the fast path is one
+    # whole-plane tiled call with the chunk compressor's operators.
+    def _compress_dense(self, x: Tensor) -> Tensor:
         return self._map_chunks(
-            self.inner.compress, x, self.height // self.s, self.width // self.s
+            self.inner._compress_dense, x, self.inner.height, self.inner.width
         )
 
-    @profiled("core.ps.decompress")
+    def _decompress_dense(self, y: Tensor) -> Tensor:
+        return self._map_chunks(
+            self.inner._decompress_dense, y,
+            self.inner.compressed_height, self.inner.compressed_width,
+        )
+
+    def _compress_tiled(self, x: Tensor) -> Tensor:
+        return self.inner._compress_tiled(x)
+
+    def _decompress_tiled(self, y: Tensor) -> Tensor:
+        return self.inner._decompress_tiled(y)
+
+    @profiled("core.ps.compress", matmuls=lambda self: 2 * self.num_chunks)
+    def compress(self, x) -> Tensor:
+        """Compress each chunk; chunks are reassembled in a grid so the
+        compressed tensor keeps the input's spatial arrangement."""
+        x = x if isinstance(x, Tensor) else Tensor(x)
+        self._check(x.shape, self.height, self.width)
+        return self._run_compress(x)
+
+    @profiled("core.ps.decompress", matmuls=lambda self: 2 * self.num_chunks)
     def decompress(self, y) -> Tensor:
         y = y if isinstance(y, Tensor) else Tensor(y)
         self._check(y.shape, self.compressed_height, self.compressed_width)
-        return self._map_chunks(
-            self.inner.decompress, y,
-            self.inner.compressed_height, self.inner.compressed_width,
-        )
+        return self._run_decompress(y)
 
     def roundtrip(self, x) -> Tensor:
         return self.decompress(self.compress(x))

@@ -34,6 +34,10 @@ def abft_mismatch(
 ) -> bool:
     """True when ``c``'s row sums break the checksum identity for ``a @ b``.
 
+    ``a`` and ``b`` may be stacks that broadcast like ``np.matmul`` (the
+    tiled kernels apply one ``(cf, B)`` operator over ``(N, B, K)`` block
+    rows), so the row sums are taken as matrix-vector products.
+
     NaN/Inf-safe: an exponent flip can push an element to Inf (and its
     row sum to NaN), and ``NaN > tol`` is False — a naive comparison
     would wave exactly the worst corruption through.  Any non-finite row
@@ -41,10 +45,9 @@ def abft_mismatch(
     definition.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        bsum = b.sum(axis=-1)
-        expect = a @ bsum
+        expect = (a @ b.sum(axis=-1)[..., None])[..., 0]
         got = c.sum(axis=-1)
-        scale = np.abs(a) @ np.abs(b).sum(axis=-1)
+        scale = (np.abs(a) @ np.abs(b).sum(axis=-1)[..., None])[..., 0]
         bad = ~np.isfinite(got) & np.isfinite(expect)
         diff = np.abs(got - expect)
     return bool(np.any(bad) or np.any(diff > (rtol * scale + atol)))

@@ -665,6 +665,19 @@ class BroadcastTo(Function):
         return (_unbroadcast(grad, shape),)
 
 
+def _is_basic_index(index) -> bool:
+    """True for slice/int/None/Ellipsis indices, which cannot repeat an
+    element (``bool`` is an advanced index in NumPy despite being an int)."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None
+        or item is Ellipsis
+        or isinstance(item, slice)
+        or (isinstance(item, (int, np.integer)) and not isinstance(item, bool))
+        for item in items
+    )
+
+
 class GetItem(Function):
     def forward(self, a, *, index):
         self.save(a.shape, index)
@@ -673,7 +686,11 @@ class GetItem(Function):
     def backward(self, grad):
         shape, index = self.saved
         out = np.zeros(shape, dtype=grad.dtype)
-        np.add.at(out, index, grad)
+        if _is_basic_index(index):
+            out[index] = grad
+        else:
+            # Advanced indices may repeat an element: accumulate.
+            np.add.at(out, index, grad)
         return (out,)
 
 

@@ -211,7 +211,7 @@ class TestOutBufferValidation:
         with pytest.raises(ConfigError, match="writable"):
             fused.tiled_compress_nd(x, ops, out=out)
         with pytest.raises(ConfigError, match="writable"):
-            fused.tiled_decompress_nd(np.zeros((2, 8, 8), np.float32), ops, 2, 2, out=out_like_plane())
+            fused.tiled_decompress_nd(np.zeros((2, 8, 8), np.float32), ops, out=out_like_plane())
 
     def test_wrong_shape_or_dtype_rejected(self, rng):
         ops, x = self._ops_and_input(rng)
@@ -249,7 +249,7 @@ class TestOutBufferValidation:
             b for ring in a._rings.values() for b in ring
         ]:
             assert not np.shares_memory(buf, ops.enc_r)
-            assert not np.shares_memory(buf, ops.enc_lT)
+            assert not np.shares_memory(buf, ops.enc_l)
         assert not np.shares_memory(result, ops.enc_r)
         assert ops.enc_r.flags.writeable is False  # still frozen after use
 

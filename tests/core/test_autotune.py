@@ -127,9 +127,10 @@ class TestExecutionPlanning:
         with pytest.raises(ConfigError, match="fast"):
             make_compressor(32, fast="turbo")
 
-    def test_fast_auto_ps_plans_at_chunk_resolution(self):
+    def test_fast_auto_ps_plans_at_plane_resolution(self):
         from repro.core import autotune, make_compressor
 
+        autotune.clear_plans()
         make_compressor(64, method="ps", cf=4, s=2, fast="auto")
-        # The PS inner compressor sees 32x32 chunks; that is the planned key.
-        assert any(key[0] == 32 for key in autotune._plans)
+        # The PS fast path runs one whole-plane kernel; that is the planned key.
+        assert [key[:2] for key in autotune._plans] == [(64, 64)]

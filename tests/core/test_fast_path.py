@@ -88,14 +88,85 @@ class TestBitIdentity:
             x = rng.standard_normal((2, 64, 64)).astype(np.float32)
             assert np.array_equal(fast.compress(x).data, dense.compress(x).data)
 
-    def test_sg_blocks_layout_matches_shuffled_dense(self, rng):
-        # The fused blocks-layout output must equal dense-then-reshuffle.
-        sg_fast = ScatterGatherCompressor(40, cf=5, fast=True)
-        sg_dense = ScatterGatherCompressor(40, cf=5, fast=False)
-        x = rng.standard_normal((3, 40, 40)).astype(np.float32)
-        zf, zd = sg_fast.compress(x), sg_dense.compress(x)
-        assert np.array_equal(zf.data, zd.data)
-        assert np.array_equal(sg_fast.decompress(zf).data, sg_dense.decompress(zd).data)
+
+# (lead, height, width, cf): the paper's resolution sweep at the bench
+# batch shapes, many small planes, many channels, and rectangular planes.
+DIFF_CASES = [
+    ((8, 3), 512, 512, 4),
+    ((8, 3), 512, 512, 7),
+    ((2, 3), 1024, 1024, 4),
+    ((64, 3), 128, 128, 4),
+    ((4,), 512, 512, 2),
+    ((4,), 512, 512, 4),
+    ((4,), 512, 512, 7),
+    ((16, 32), 32, 32, 4),
+    ((2,), 256, 512, 4),
+    ((3,), 64, 128, 4),
+    ((2,), 512, 256, 4),
+]
+
+_oracles: dict = {}
+
+
+def _oracle(method, case):
+    """Dense-oracle compress, decompress and roundtrip gradient (cached)."""
+    key = (method, case)
+    if key not in _oracles:
+        lead, h, w, cf = case
+        rng = np.random.default_rng([h, w, cf, *lead])
+        x = rng.standard_normal(lead + (h, w), dtype=np.float32)
+        comp = make_compressor(h, w, method=method, cf=cf)
+        with force_dense():
+            y = comp.compress(x).data
+            rec = comp.decompress(y).data
+        g = rng.standard_normal(x.shape, dtype=np.float32)
+        with force_dense():
+            _, grad = _grad_roundtrip(comp, x, g)
+        _oracles.clear()  # keep one case's arrays alive, not all of them
+        _oracles[key] = (x, y, rec, g, grad)
+    return _oracles[key]
+
+
+class TestDifferential:
+    """Every method, fast and dense, against the dense oracle: outputs bit
+    for bit, roundtrip gradients to float32 reassociation noise."""
+
+    @pytest.mark.parametrize("op", ["compress", "decompress", "grad"])
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "dense"])
+    @pytest.mark.parametrize("method", ["dc", "ps", "sg"])
+    @pytest.mark.parametrize("case", DIFF_CASES, ids=str)
+    def test_matches_dense_oracle(self, case, method, fast, op):
+        x, y, rec, g, grad = _oracle(method, case)
+        lead, h, w, cf = case
+        comp = make_compressor(h, w, method=method, cf=cf, fast=fast)
+        if op == "compress":
+            assert np.array_equal(comp.compress(x).data, y)
+        elif op == "decompress":
+            assert np.array_equal(comp.decompress(y).data, rec)
+        else:
+            out, got = _grad_roundtrip(comp, x, g)
+            assert np.array_equal(out, rec)
+            np.testing.assert_allclose(got, grad, rtol=1e-4, atol=1e-4)
+
+    def test_ps_pins_to_its_chunked_oracle(self, rng):
+        # PS's oracle is its serial chunk program, which on some shapes
+        # rounds differently from whole-plane dense DC: the fast path
+        # must reproduce the chunked bytes.
+        comp = make_compressor(64, method="ps", s=2, cf=2, fast=True)
+        x = rng.standard_normal((3, 2, 64, 64)).astype(np.float32)
+        chunked = comp._map_chunks(comp.inner._compress_dense, Tensor(x), 32, 32)
+        assert np.array_equal(comp.compress(x).data, chunked.data)
+        rec = comp._map_chunks(comp.inner._decompress_dense, chunked, 8, 8)
+        assert np.array_equal(comp.decompress(chunked).data, rec.data)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (14, 30)], ids=["plane", "padded"])
+    @pytest.mark.parametrize("method", ["dc", "ps", "sg"])
+    def test_finite_difference_gradient(self, rng, method, shape):
+        from repro.core import PaddedCompressor
+        from tests.conftest import check_gradient
+
+        comp = PaddedCompressor(*shape, method=method, cf=3, s=2)
+        check_gradient(comp.roundtrip, rng.standard_normal((2,) + shape))
 
 
 class TestProbeGuard:
@@ -292,8 +363,18 @@ class TestFaultSites:
             comp.decompress(y)
             assert inj.events_seen("gemm") == 4
 
-    @pytest.mark.parametrize("direction", ["compress", "decompress"])
-    def test_abft_corrects_a_flip_inside_an_arena(self, rng, direction):
+    # Each direction runs a plain GEMM (event 0) then one broadcast over
+    # block rows (event 1); a flip in either product is corrected.
+    @pytest.mark.parametrize(
+        "direction,gemm",
+        [
+            pytest.param("compress", 1, id="compress"),
+            pytest.param("decompress", 1, id="decompress"),
+            pytest.param("compress", 0, id="compress-plain"),
+            pytest.param("decompress", 0, id="decompress-plain"),
+        ],
+    )
+    def test_abft_corrects_a_flip_inside_an_arena(self, rng, direction, gemm):
         from repro.core import Arena
         from repro.faults import FaultInjector, FaultPlan
         from repro.integrity import IntegrityPolicy, integrity_guards, integrity_stats
@@ -304,7 +385,7 @@ class TestFaultSites:
         fn, arg = (comp.compress, x) if direction == "compress" else (comp.decompress, y)
         clean = fn(arg).data.copy()
         before = integrity_stats().get("corrected:gemm", 0)
-        plan = FaultPlan(seed=5).add("gemm", "sdc_bit_flip", after=1, times=1)
+        plan = FaultPlan(seed=5).add("gemm", "sdc_bit_flip", after=gemm, times=1)
         with Arena().use(), integrity_guards(IntegrityPolicy()), FaultInjector(plan) as inj:
             out = fn(arg).data.copy()
         assert [r.site for r in inj.records] == ["gemm"]
@@ -317,7 +398,7 @@ class TestOperatorCache:
         a = fused_operators(8, 4)
         b = fused_operators(8, 4)
         assert a is b
-        for arr in (a.enc_r, a.enc_lT, a.dec_r, a.dec_lT):
+        for arr in (a.enc_r, a.enc_l, a.dec_r, a.dec_l):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0

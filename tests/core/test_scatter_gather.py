@@ -91,10 +91,10 @@ class TestRoundtrip:
     def test_indices_are_a_readonly_view(self):
         sg = ScatterGatherCompressor(16, cf=3)
         idx = sg._indices_for((2, 3))
-        assert idx.shape == (2, 3, sg.nblocks, sg.values_per_block)
+        assert idx.shape == (2, 3, 1, sg.nblocks * sg.values_per_block)
         assert not idx.flags.writeable
-        assert np.shares_memory(idx, sg._tri)
-        assert np.array_equal(idx[1, 2, 3], sg._tri)
+        assert np.shares_memory(idx, sg._flat)
+        assert np.array_equal(idx[1, 2], sg._flat)
 
     def test_many_batch_shapes_retain_no_index_memory(self, rng):
         import tracemalloc

@@ -117,6 +117,14 @@ class TestShapeGrads:
         idx = np.array([0, 2])
         check_gradient(lambda t: t[idx] * 2.0, x)
 
+    def test_getitem_repeated_index_accumulates(self, x):
+        idx = np.array([0, 0, 2])
+        check_gradient(lambda t: t[idx] * 2.0, x)
+
+    def test_getitem_basic_mixed(self, x):
+        check_gradient(lambda t: t[..., None, 1] * 2.0, x)
+        check_gradient(lambda t: t[np.int64(1), True] * 2.0, x)
+
     def test_broadcast_to(self, rng):
         x = rng.standard_normal((1, 4))
         check_gradient(lambda t: t.broadcast_to((3, 4)) * 2.0, x)
