@@ -16,24 +16,26 @@ form so datasets can actually be stored and reloaded:
 
 Format versions
 ---------------
-``DCZ2`` (current) headers carry ``crc32`` over the payload bytes, a
-blake2b ``digest`` of the payload (the stage-boundary fingerprint the
-integrity layer threads through serve/decompress), and ``hcrc`` — a CRC
-over the canonical header itself, so a flipped bit in ``dtype`` or
-``compressed_shape`` cannot reinterpret a pristine payload.  ``unpack``
-verifies header checksum, payload length, payload checksum, and digest,
-raising :class:`~repro.errors.IntegrityError` on any mismatch — the
-contract (enforced by the seeded every-byte bit-flip fuzz suite) is that
-*any* single-bit corruption of a DCZ2 blob raises ``IntegrityError``,
-never crashes, never decodes wrong data.  ``DCZ1`` files (no checksum)
-still load; length is validated and a ``UserWarning`` notes the missing
-checksum.  Headers that predate ``hcrc`` keep loading; their decode path
-is hardened to reject (not crash on) corrupt-but-parseable fields.
+``DCZ2`` (current) headers carry ``crc32`` over the payload bytes and
+``hcrc`` — a CRC over the canonical header itself, so a flipped bit in
+``dtype`` or ``compressed_shape`` cannot reinterpret a pristine payload.
+``unpack`` verifies header checksum, payload length and payload
+checksum, raising :class:`~repro.errors.IntegrityError` on any mismatch —
+the contract (enforced by the seeded every-byte bit-flip fuzz suite) is
+that *any* single-bit corruption of a DCZ2 blob raises
+``IntegrityError``, never crashes, never decodes wrong data.  CRC-32
+detects every single-bit error; a random multi-bit corruption passes it
+with probability 2**-32 per blob, the residual risk accepted under the
+silent-data-corruption (not adversarial) threat model.  Older DCZ2
+blobs also carry a payload ``digest`` string; ``hcrc`` covers it and
+nothing else reads it.  ``DCZ1`` files (no checksum) still load; length
+is validated and a ``UserWarning`` notes the missing checksum.  Headers
+that predate ``hcrc`` keep loading; their decode path is hardened to
+reject (not crash on) corrupt-but-parseable fields.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import zlib
@@ -41,10 +43,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core import arena as arena_mod
 from repro.core.api import Compressor, make_compressor
 from repro.errors import ConfigError, ContainerFormatError, IntegrityError
 from repro.faults import corrupt_payload
-from repro.integrity.digest import payload_digest
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.tensor import Tensor
@@ -129,21 +131,19 @@ def pack(x, comp: Compressor, *, payload_dtype: str = "float32") -> bytes:
     if payload_dtype not in ("float32", "float16"):
         raise ConfigError(f"unsupported payload dtype {payload_dtype!r}")
     arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
-    compressed = comp.compress(arr).numpy().astype(payload_dtype)
-    payload = np.ascontiguousarray(compressed).tobytes()
+    compressed = np.ascontiguousarray(
+        comp.compress(arr).numpy().astype(payload_dtype, copy=False)
+    )
     header = _header_for(comp, arr.shape, payload_dtype)
     header["compressed_shape"] = list(compressed.shape)
     header["version"] = 2
-    header["crc32"] = zlib.crc32(payload)
-    header["digest"] = payload_digest(payload)
+    header["crc32"] = zlib.crc32(compressed)
     header["hcrc"] = _header_crc(header)
     header_bytes = json.dumps(header).encode()
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(_LEN.pack(len(header_bytes)))
-    buf.write(header_bytes)
-    buf.write(payload)
-    blob = corrupt_payload(buf.getvalue())
+    # The join reads the coefficients through the buffer protocol: one copy.
+    blob = corrupt_payload(
+        b"".join((MAGIC, _LEN.pack(len(header_bytes)), header_bytes, compressed))
+    )
     reg = get_registry()
     reg.counter(
         "repro_container_bytes_in_total", help="uncompressed bytes packed into containers"
@@ -154,8 +154,8 @@ def pack(x, comp: Compressor, *, payload_dtype: str = "float32") -> bytes:
     return blob
 
 
-def _parse(blob: bytes) -> tuple[dict, bytes, int]:
-    """Validate framing; return (header, payload bytes, format version)."""
+def _parse(blob: bytes) -> tuple[dict, memoryview, int]:
+    """Validate framing; return (header, payload view, format version)."""
     if len(blob) < 8:
         raise IntegrityError(f"container truncated: {len(blob)} bytes is shorter than the frame")
     magic = blob[:4]
@@ -192,7 +192,7 @@ def _parse(blob: bytes) -> tuple[dict, bytes, int]:
                 f"header checksum mismatch: stored {stored_hcrc}, computed {actual} "
                 "(header corrupted)"
             )
-    return header, blob[8 + hlen :], version
+    return header, memoryview(blob)[8 + hlen :], version
 
 
 def unpack(blob: bytes) -> tuple[np.ndarray, dict]:
@@ -236,9 +236,6 @@ def unpack(blob: bytes) -> tuple[np.ndarray, dict]:
             "cannot be detected — re-save to upgrade to DCZ2",
             version=version,
         )
-    stored_digest = header.get("digest")
-    if stored_digest is not None and payload_digest(payload) != stored_digest:
-        raise IntegrityError("payload digest mismatch (file corrupted)")
     header.setdefault("version", version)
     try:
         arr = np.frombuffer(payload, dtype=header["dtype"]).reshape(
@@ -247,7 +244,10 @@ def unpack(blob: bytes) -> tuple[np.ndarray, dict]:
     except (TypeError, ValueError) as exc:
         raise IntegrityError(f"container header is corrupt: {exc}") from exc
     comp = compressor_for_header(header)
-    rec = comp.decompress(arr.astype(np.float32)).numpy()
+    # Outside any active arena, so the sample is a fresh array the caller
+    # owns, never a ring slot the next read overwrites.
+    with arena_mod.bypass():
+        rec = comp.decompress(arr.astype(np.float32, copy=False)).numpy()
     return rec.reshape(header["shape"]), header
 
 

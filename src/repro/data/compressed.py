@@ -96,4 +96,4 @@ class CompressedDataset(Dataset):
         if isinstance(blob, Path):
             blob = blob.read_bytes()
         x, _header = container.unpack(blob)
-        return x.astype(np.float32), self._targets[index]
+        return x, self._targets[index]

@@ -8,9 +8,10 @@ quiet one: a worker that keeps answering, just wrongly.  Three layers:
   path's two skinny matmuls per plane get checksum verification at O(n)
   relative cost, with dense recompute + majority vote on mismatch.
 * **Stage-boundary digests** (:mod:`~repro.integrity.digest`): blake2b
-  fingerprints pin buffer bytes across the compress -> container ->
-  serve -> decompress pipeline; the device-output guard raises
-  :class:`~repro.errors.IntegrityFault` into the existing retry ladder.
+  fingerprints pin buffer bytes across the device boundary; the
+  device-output guard raises :class:`~repro.errors.IntegrityFault` into
+  the existing retry ladder.  (``.dcz`` containers carry their own CRCs;
+  see :mod:`repro.core.container`.)
 * **Scrub passes** (:mod:`~repro.integrity.scrub`): restored plan-cache
   snapshots and quarantined workers' caches are revalidated against host
   oracles so poisoned plans never serve twice.
@@ -21,7 +22,7 @@ byte-identical to a build without this package.
 """
 
 from repro.integrity.abft import abft_mismatch, checked_matmul
-from repro.integrity.digest import DIGEST_SIZE, payload_digest, plane_digest
+from repro.integrity.digest import DIGEST_SIZE, plane_digest
 from repro.integrity.policy import (
     GUARD_SITES,
     IntegrityPolicy,
@@ -51,7 +52,6 @@ __all__ = [
     "checked_matmul",
     "abft_mismatch",
     "plane_digest",
-    "payload_digest",
     "DIGEST_SIZE",
     "scrub_cache",
     "validate_program",

@@ -43,6 +43,25 @@ def _along_axis_indices(index: np.ndarray, dim: int) -> tuple:
     return tuple(idx)
 
 
+def _repeats_along(index: np.ndarray, dim: int) -> bool:
+    """Whether ``index`` names one position twice along ``dim``.
+
+    Broadcast axes (stride 0, as in SG's flat triangle index) repeat one
+    slice, so only that slice is sorted.  A negative index may alias a
+    non-negative one, so any counts as a repeat.
+    """
+    core = index[
+        tuple(
+            slice(0, 1) if stride == 0 and ax != dim else slice(None)
+            for ax, stride in enumerate(index.strides)
+        )
+    ]
+    if (core < 0).any():
+        return True
+    ordered = np.sort(core, axis=dim)
+    return bool((np.diff(ordered, axis=dim) == 0).any())
+
+
 class Gather(Function):
     def forward(self, a, *, dim, index):
         if index.ndim != a.ndim:
@@ -55,7 +74,11 @@ class Gather(Function):
     def backward(self, grad):
         shape, dim, index = self.saved
         out = np.zeros(shape, dtype=grad.dtype)
-        np.add.at(out, _along_axis_indices(index, dim), grad)
+        if _repeats_along(index, dim):
+            np.add.at(out, _along_axis_indices(index, dim), grad)
+        else:
+            # Unique indices: assignment, which keeps -0.0 where 0 + -0.0 is +0.0.
+            np.put_along_axis(out, index, grad, axis=dim)
         return (out,)
 
 

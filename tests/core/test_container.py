@@ -5,7 +5,53 @@ import pytest
 
 from repro.core import DCTChopCompressor, ScatterGatherCompressor, make_compressor
 from repro.core import container
-from repro.errors import ConfigError
+from repro.errors import ConfigError, IntegrityError
+
+#: A 1x8x8 DC cf=4 DCZ2 blob written while the header still carried a
+#: blake2b payload ``digest`` next to ``crc32``.
+LEGACY_DIGEST_BLOB = bytes.fromhex(
+    "44435a32d10000007b226d6574686f64223a20226463222c20226366223a2034"
+    "2c2022626c6f636b223a20382c20227368617065223a205b312c20382c20385d"
+    "2c20226474797065223a2022666c6f61743332222c2022636f6d707265737365"
+    "645f7368617065223a205b312c20342c20345d2c202276657273696f6e223a20"
+    "322c20226372633332223a20313933313232303537352c202264696765737422"
+    "3a20226662356163373637303636663461396566393032373739363362346463"
+    "353335222c202268637263223a20343035323935343838357d4cc493beabb69f"
+    "be34d9de3f7a9f513f21dc30bffc9d7dbe23e1a6bff8918dbf55211140733ec5"
+    "3ee18bb63e5b84d93e98a8c63ee81d3c3f68ad123fa0ab98bf"
+)
+#: The float32 sample that blob decoded to when it was written.
+LEGACY_DIGEST_DECODED = np.frombuffer(
+    bytes.fromhex(
+        "a447ae3e76aa003fc7330a3f6f838c3e2e25a7bd374511bec0fa3d3ebc8a0d3f"
+        "f26f4dbd39bb92bd4355b0bdb40b86bda97814bc0fc76d3d36dddf3d8181093e"
+        "2863efbecb2e25bfe70137bfab43f3bec439afbd1093d13d106e26bd1f558abe"
+        "749603bf83b92ebfeb724cbf45c62ebff8decfbea8e04dbe5bd843bef19c8abe"
+        "e630b3bd11da5cbe6b71e0be4d9b27bfa62037bf526108bf5fce43be65efa23d"
+        "543f163ff371903e754c38be27a20fbf9cc125bfb8c3c4bebc90843d0df5ce3e"
+        "bd2f983f6031ee3e0258a6beb5730bbf160c33bee90d993e46c2fa3e1058eb3e"
+        "7c77c23f1022da3ed6d31bbf4d5915bf186e923eb55e733ffff2513f5d84bb3e"
+    ),
+    dtype="<f4",
+).reshape(1, 8, 8)
+
+
+def _bit_flip_survivors(blob: bytes) -> list[str]:
+    """Every single-bit flip of ``blob`` that does not raise IntegrityError."""
+    survived = []
+    for pos in range(len(blob)):
+        for bit in range(8):
+            mutated = bytearray(blob)
+            mutated[pos] ^= 1 << bit
+            try:
+                container.unpack(bytes(mutated))
+            except IntegrityError:
+                continue
+            except Exception as exc:          # noqa: BLE001 - the fuzz contract
+                survived.append(f"byte {pos} bit {bit}: crashed with {type(exc).__name__}")
+            else:
+                survived.append(f"byte {pos} bit {bit}: decoded corrupt bytes")
+    return survived
 
 
 class TestPackUnpack:
@@ -120,40 +166,50 @@ class TestEveryByteBitFlipFuzz:
     """No single bit flip anywhere in a container may slip through.
 
     The container's layered checks (magic, framing, hcrc over the parsed
-    header, CRC32 + blake2b over the payload) exist to make this property
-    total: for EVERY byte position and EVERY bit, the mutated blob must
-    raise IntegrityError — never crash with an unrelated exception, and
-    never decode to an array at all (a "successful" decode of corrupt
-    bytes would be a silent wrong answer).
+    header, CRC32 over the payload) exist to make this property total:
+    for EVERY byte position and EVERY bit, the mutated blob must raise
+    IntegrityError — never crash with an unrelated exception, and never
+    decode to an array at all (a "successful" decode of corrupt bytes
+    would be a silent wrong answer).
     """
 
     def test_every_single_bit_flip_raises_integrity_error(self, rng):
-        from repro.errors import IntegrityError
-
         x = rng.standard_normal((2, 1, 16, 16)).astype(np.float32)
         comp = DCTChopCompressor(16, cf=2)
         blob = container.pack(x, comp)
         container.unpack(blob)                    # pristine blob decodes
-        survived = []
-        for pos in range(len(blob)):
-            for bit in range(8):
-                mutated = bytearray(blob)
-                mutated[pos] ^= 1 << bit
-                try:
-                    container.unpack(bytes(mutated))
-                except IntegrityError:
-                    continue
-                except Exception as exc:          # noqa: BLE001 - the fuzz contract
-                    survived.append(f"byte {pos} bit {bit}: crashed with {type(exc).__name__}")
-                else:
-                    survived.append(f"byte {pos} bit {bit}: decoded corrupt bytes")
+        survived = _bit_flip_survivors(blob)
         assert not survived, "; ".join(survived[:10])
 
     def test_truncation_at_every_length_raises_integrity_error(self, rng):
-        from repro.errors import IntegrityError
-
         x = rng.standard_normal((1, 16, 16)).astype(np.float32)
         blob = container.pack(x, DCTChopCompressor(16, cf=4))
         for cut in range(len(blob)):
             with pytest.raises(IntegrityError):
                 container.unpack(blob[:cut])
+
+
+class TestPayloadChecksum:
+    """CRC32 is the one payload checksum; older digest-carrying blobs load."""
+
+    def test_new_blobs_carry_crc32_and_no_digest(self, rng):
+        blob = container.pack(
+            rng.standard_normal((1, 16, 16)).astype(np.float32), DCTChopCompressor(16, cf=4)
+        )
+        _, header = container.unpack(blob)
+        assert blob[:4] == b"DCZ2"
+        assert "digest" not in header
+        assert {"crc32", "hcrc"} <= header.keys()
+
+    def test_legacy_digest_blob_decodes_to_its_written_bytes(self):
+        rec, header = container.unpack(LEGACY_DIGEST_BLOB)
+        assert header["version"] == 2 and "digest" in header
+        payload = np.frombuffer(LEGACY_DIGEST_BLOB[-64:], dtype="<f4").reshape(1, 4, 4)
+        np.testing.assert_array_equal(
+            rec, make_compressor(8, cf=4).decompress(payload).numpy()
+        )
+        np.testing.assert_allclose(rec, LEGACY_DIGEST_DECODED, rtol=0, atol=1e-6)
+
+    def test_legacy_digest_blob_rejects_every_single_bit_flip(self):
+        survived = _bit_flip_survivors(LEGACY_DIGEST_BLOB)
+        assert not survived, "; ".join(survived[:10])

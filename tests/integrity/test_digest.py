@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.integrity import DIGEST_SIZE, payload_digest, plane_digest
+from repro.integrity import DIGEST_SIZE, plane_digest
+from repro.integrity.digest import payload_digest
 
 
 class TestPlaneDigest:

@@ -55,6 +55,41 @@ class TestGather:
         rt.gather(src, 1, idx).sum().backward()
         np.testing.assert_allclose(src.grad, [[0, 4, 0]])
 
+    def test_grad_broadcast_index_repeating_along_dim_accumulates(self):
+        src = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        idx = np.broadcast_to(np.array([[1]]), (2, 4))      # stride 0 along dim
+        rt.gather(src, 1, idx).sum().backward()
+        np.testing.assert_allclose(src.grad, [[0, 4, 0], [0, 4, 0]])
+
+    def test_grad_negative_index_aliasing_accumulates(self):
+        src = Tensor(np.ones((1, 3), np.float32), requires_grad=True)
+        rt.gather(src, 1, np.array([[2, -1]])).sum().backward()
+        np.testing.assert_allclose(src.grad, [[0, 0, 2]])
+
+    def test_grad_unique_indices_assign(self):
+        # Assignment keeps a -0.0 gradient that 0 + (-0.0) would turn into +0.0.
+        src = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        idx = np.broadcast_to(np.array([[2, 0]]), (2, 2))
+        (rt.gather(src, 1, idx) * -0.0).sum().backward()
+        assert np.signbit(src.grad[:, [0, 2]]).all()
+        assert not np.signbit(src.grad[:, 1]).any()
+
+    def test_sg_roundtrip_grad_matches_accumulating_backward(self, rng, monkeypatch):
+        from repro.core import make_compressor
+        from repro.tensor import gather_scatter
+
+        comp = make_compressor(32, method="sg", cf=3)
+        x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+
+        def grad():
+            t = Tensor(x, requires_grad=True)
+            (comp.decompress(comp.compress(t)) * 1.5).sum().backward()
+            return t.grad
+
+        assigned = grad()
+        monkeypatch.setattr(gather_scatter, "_repeats_along", lambda index, dim: True)
+        np.testing.assert_array_equal(assigned, grad())
+
     def test_take_along_axis_alias(self, rng):
         src = Tensor(rng.standard_normal((2, 5)).astype(np.float32))
         idx = np.array([[0, 1], [4, 3]])
