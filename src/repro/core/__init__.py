@@ -38,22 +38,17 @@ from repro.core.api import (
     clear_cache,
 )
 from repro.core.fused import (
-    set_fast_path,
-    fast_path_enabled,
     force_dense,
     fused_operators,
     clear_fused_cache,
     fast_path_stats,
     has_nonfinite,
 )
-from repro.core.arena import Arena
 from repro.core.padded import PaddedCompressor, AdaptiveCompressor
 from repro.core.autotune import (
     select_cf,
     build_for_target,
     TuneResult,
-    ExecutionPlan,
-    plan_execution,
 )
 from repro.core.precision import (
     PRECISIONS,
@@ -91,21 +86,16 @@ __all__ = [
     "set_service",
     "get_service",
     "clear_cache",
-    "set_fast_path",
-    "fast_path_enabled",
     "force_dense",
     "fused_operators",
     "clear_fused_cache",
     "fast_path_stats",
     "has_nonfinite",
-    "Arena",
     "PaddedCompressor",
     "AdaptiveCompressor",
     "select_cf",
     "build_for_target",
     "TuneResult",
-    "ExecutionPlan",
-    "plan_execution",
     "PRECISIONS",
     "PrecisionPoint",
     "accuracy_curve",

@@ -54,7 +54,7 @@ def make_compressor(
     cf: int = 4,
     s: int = 2,
     block: int = DEFAULT_BLOCK,
-    fast: bool | str | None = None,
+    fast: bool = True,
 ) -> Compressor:
     """The compiled compressor for one configuration, shared per process.
 
@@ -75,12 +75,9 @@ def make_compressor(
     cf:
         Chop factor; the paper sweeps 2..7.
     fast:
-        Tiled fast-path override (``None`` follows the global switch;
-        see :func:`repro.core.fused.set_fast_path`).  ``"auto"`` consults
-        the measured execution plan for this workload
-        (:func:`repro.core.autotune.planned` — the first build per
-        ``(shape, cf, block)`` runs a short timing scan) and applies its
-        fast-vs-dense verdict.
+        ``True`` (default) runs the probe-gated tiled fast path; ``False``
+        builds a separate instance pinned to the dense oracle.  Anything
+        but a bool raises :class:`ConfigError`.
 
     Degenerate configurations — non-integral or non-positive sizes,
     ``cf > block``, ``s`` not dividing the resolution, resolutions that
@@ -100,16 +97,8 @@ def make_compressor(
     block = require_int("block", block)
     # Only PS subdivides; the other methods ignore ``s`` and share one key.
     s = require_int("subdivision factor s", s) if method == "ps" else None
-    if fast == "auto":
-        from repro.core import autotune
-
-        # Every method's fast path runs one whole-plane tiled kernel
-        # (PS included), so plan at the plane resolution.
-        plan = autotune.planned(height, width, cf=cf, block=block)
-        fast = plan.fast
-    elif isinstance(fast, str):
-        raise ConfigError(f'fast must be True, False, None, or "auto", got {fast!r}')
-    fast = None if fast is None else bool(fast)
+    if not isinstance(fast, bool):
+        raise ConfigError(f"fast must be True or False, got {fast!r}")
 
     def build() -> Compressor:
         if method == "ps":

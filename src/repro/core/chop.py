@@ -24,7 +24,6 @@ from collections import OrderedDict
 import numpy as np
 
 import repro.tensor as rt
-from repro.core import arena as arena_mod
 from repro.core import flops as flops_mod
 from repro.core import fused
 from repro.core.dct import DEFAULT_BLOCK, block_diagonal_dct
@@ -57,8 +56,8 @@ class ProbedFastPath:
     ``_compress_tiled``, ``_decompress_dense`` and ``_decompress_tiled``.
     """
 
-    def _init_fast_path(self, fast: bool | None) -> None:
-        self._fast = fast
+    def _init_fast_path(self, fast: bool) -> None:
+        self._fast = bool(fast)
         # (direction, lead shape, dtype) -> probe verdict
         # (True = fast ok).  The lock serializes probe-and-insert: without
         # it, concurrent first-calls on one shape probe twice and racing
@@ -94,12 +93,11 @@ class ProbedFastPath:
         Runs with fault injection suspended: a scripted SDC flip landing in
         the probe's tiled leg would fail the comparison and wrongly pin the
         shape dense forever (besides desynchronising the fault script).
-        The arena is bypassed so probe shapes never reserve buffers.
         """
         data = fused.probe_input(
             shape, dtype, cf=self.cf, block=self.block, direction=direction
         )
-        with suspend_faults(), no_grad(), arena_mod.bypass():
+        with suspend_faults(), no_grad():
             t = Tensor(data, dtype=data.dtype)
             if direction == "compress":
                 dense = self._compress_dense(t).data
@@ -153,12 +151,11 @@ class DCTChopCompressor(ProbedFastPath):
         transform).  Must be invertible; decompression uses its inverse, so
         a non-orthonormal transform still round-trips exactly at CF=block.
     fast:
-        Tiled fast-path override: ``True``/``False`` force it on/off for
-        this instance, ``None`` (default) follows the global switch
-        (:func:`repro.core.fused.set_fast_path`).  Even when enabled, a
-        shape only uses the fast path after a seeded equivalence probe
-        proves it bit-identical to the dense oracle — see
-        :mod:`repro.core.fused`.
+        ``True`` (default) runs the tiled fast path; ``False`` pins this
+        instance to the dense oracle.  Even when enabled, a shape only
+        uses the fast path after a seeded equivalence probe proves it
+        bit-identical to the dense oracle, and never inside
+        :func:`repro.core.fused.force_dense` — see :mod:`repro.core.fused`.
     """
 
     method = "dc"
@@ -171,7 +168,7 @@ class DCTChopCompressor(ProbedFastPath):
         cf: int = 4,
         block: int = DEFAULT_BLOCK,
         transform: np.ndarray | None = None,
-        fast: bool | None = None,
+        fast: bool = True,
     ) -> None:
         height = require_int("height", height)
         width = height if width is None else require_int("width", width)

@@ -43,7 +43,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import arena as arena_mod
 from repro.core.api import Compressor, make_compressor
 from repro.errors import ConfigError, ContainerFormatError, IntegrityError
 from repro.faults import corrupt_payload
@@ -244,10 +243,9 @@ def unpack(blob: bytes) -> tuple[np.ndarray, dict]:
     except (TypeError, ValueError) as exc:
         raise IntegrityError(f"container header is corrupt: {exc}") from exc
     comp = compressor_for_header(header)
-    # Outside any active arena, so the sample is a fresh array the caller
-    # owns, never a ring slot the next read overwrites.
-    with arena_mod.bypass():
-        rec = comp.decompress(arr.astype(np.float32, copy=False)).numpy()
+    # Both paths allocate their output, so the sample is a fresh array
+    # the caller owns, never a view of the read-only payload.
+    rec = comp.decompress(arr.astype(np.float32, copy=False)).numpy()
     return rec.reshape(header["shape"]), header
 
 

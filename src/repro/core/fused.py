@@ -35,9 +35,9 @@ data, and on any mismatch that shape is pinned to the dense path.  The
 outcome is cached, so the guarantee "compressor output == dense-path
 output, bitwise" holds for every shape by construction.
 
-The dense path remains available as the oracle: per-compressor via
-``fast=False``, globally via :func:`set_fast_path`, and temporarily via
-the :func:`force_dense` context manager (the accelerator tracer uses it so
+The dense path remains available as the oracle in exactly two ways:
+per-compressor via ``fast=False``, and temporarily on one thread via the
+:func:`force_dense` context manager (the accelerator tracer uses it so
 compiled graphs and modelled timings keep the paper's two-matmul shape).
 
 Fused operators are cached per ``(block, cf, dtype)`` as read-only arrays
@@ -60,11 +60,11 @@ which is ``cf^2/block^2`` of the plane data.
 One kernel family
 -----------------
 :func:`tiled_compress_nd` / :func:`tiled_decompress_nd` are the only
-tiled kernels, and every method runs them on whole planes.  They write
-through ``out=`` buffers (the preallocated :mod:`repro.core.arena` when
-one is active) and issue both GEMMs through one hook, :func:`_gemm`, so
-the ``gemm`` SDC site and the ABFT checksum (:mod:`repro.integrity.abft`)
-guard the same path plain traffic runs.  Training uses them too:
+tiled kernels, and every method runs them on whole planes.  Each call
+allocates its intermediate and its output fresh, and issues both GEMMs
+through one hook, :func:`_gemm`, so the ``gemm`` SDC site and the ABFT
+checksum (:mod:`repro.integrity.abft`) guard the same path plain traffic
+runs.  Training uses them too:
 :class:`TiledCompress` / :class:`TiledDecompress` wrap each direction as
 one autograd op whose backward is the *other* direction's kernel run with
 the transposed operators (:func:`adjoint`) — compression is linear, and
@@ -83,31 +83,16 @@ from dataclasses import dataclass
 import numpy as np
 
 import repro.tensor as rt
-from repro.core import arena as arena_mod
 from repro.errors import ConfigError
 from repro.faults.injector import active_injector, corrupt_buffer
 from repro.integrity import abft as _abft
 from repro.integrity import policy as _integrity
-from repro.tensor import Tensor, is_grad_enabled
 from repro.tensor.tensor import DEFAULT_DTYPE as _DEFAULT_DTYPE
 
 # ----------------------------------------------------------------------
-# Fast-path switches
+# Fast-path switch
 # ----------------------------------------------------------------------
-_FAST_ENABLED = True
 _dense_state = threading.local()
-
-
-def set_fast_path(enabled: bool) -> bool:
-    """Globally enable/disable the tiled fast path; returns the old value."""
-    global _FAST_ENABLED
-    previous, _FAST_ENABLED = _FAST_ENABLED, bool(enabled)
-    return previous
-
-
-def fast_path_enabled() -> bool:
-    """The global default (per-compressor ``fast=`` overrides it)."""
-    return _FAST_ENABLED
 
 
 def dense_forced() -> bool:
@@ -130,11 +115,9 @@ def force_dense():
         _dense_state.depth -= 1
 
 
-def fast_path_active(override: bool | None = None) -> bool:
-    """Resolve the effective switch for one compressor instance."""
-    if dense_forced():
-        return False
-    return _FAST_ENABLED if override is None else bool(override)
+def fast_path_active(override: bool) -> bool:
+    """Whether a compressor built with ``fast=override`` runs tiled now."""
+    return override and not dense_forced()
 
 
 # ----------------------------------------------------------------------
@@ -336,48 +319,16 @@ def _ingest(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def _scratch(arena, tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    if arena is not None:
-        return arena.buffer(tag, shape, dtype)
-    return np.empty(shape, dtype)
-
-
-def _output(arena, tag: str, shape: tuple[int, ...], dtype, out) -> np.ndarray:
-    if out is None:
-        if arena is not None:
-            return arena.ring(tag, shape, dtype)
-        return np.empty(shape, dtype)
-    if not isinstance(out, np.ndarray):
-        raise ConfigError(f"out must be an ndarray, got {type(out).__name__}")
-    if out.shape != shape or out.dtype != np.dtype(dtype):
-        raise ConfigError(
-            f"out has shape {out.shape} dtype {out.dtype}; kernel needs "
-            f"shape {shape} dtype {np.dtype(dtype)}"
-        )
-    if not out.flags.c_contiguous or not out.flags.writeable:
-        raise ConfigError("out must be C-contiguous and writable")
-    return out
-
-
-def tiled_compress_nd(
-    x: np.ndarray, ops: FusedOps, *, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``(..., H, W) -> (..., cf*nbh, cf*nbw)`` via two GEMMs.
-
-    Buffers come from the active :class:`~repro.core.arena.Arena` when
-    one is installed (zero steady-state allocations), else ``np.empty``.
-    An explicit ``out=`` must be C-contiguous, writable, and exactly the
-    result shape/dtype.
-    """
+def tiled_compress_nd(x: np.ndarray, ops: FusedOps) -> np.ndarray:
+    """``(..., H, W) -> (..., cf*nbh, cf*nbw)`` via two GEMMs."""
     block, cf = ops.block, ops.cf
     x = _ingest(x)
     lead = x.shape[:-2]
     nbh = x.shape[-2] // block
     nbw = x.shape[-1] // block
     rdtype = np.result_type(x.dtype, ops.enc_r.dtype)
-    arena = arena_mod.current()
-    g = _scratch(arena, "c.g", (math.prod(lead) * nbh, block, nbw * cf), rdtype)
-    out = _output(arena, "c.out", lead + (cf * nbh, cf * nbw), rdtype, out)
+    g = np.empty((math.prod(lead) * nbh, block, nbw * cf), rdtype)
+    out = np.empty(lead + (cf * nbh, cf * nbw), rdtype)
     with np.errstate(invalid="ignore"):
         # Column transform: (rows*B*nbw, B) @ (B, cf) -> (..., H, nbw*cf).
         _gemm(x.reshape(-1, block), ops.enc_r, g.reshape(-1, cf))
@@ -386,9 +337,7 @@ def tiled_compress_nd(
     return out
 
 
-def tiled_decompress_nd(
-    y: np.ndarray, ops: FusedOps, *, out: np.ndarray | None = None
-) -> np.ndarray:
+def tiled_decompress_nd(y: np.ndarray, ops: FusedOps) -> np.ndarray:
     """Inverse of :func:`tiled_compress_nd`: ``(..., cf*nbh, cf*nbw) -> (..., H, W)``."""
     block, cf = ops.block, ops.cf
     y = _ingest(y)
@@ -396,9 +345,8 @@ def tiled_decompress_nd(
     nbh = y.shape[-2] // cf
     nbw = y.shape[-1] // cf
     rdtype = np.result_type(y.dtype, ops.dec_r.dtype)
-    arena = arena_mod.current()
-    g = _scratch(arena, "d.g", (math.prod(lead) * nbh, cf, nbw * block), rdtype)
-    out = _output(arena, "d.out", lead + (nbh * block, nbw * block), rdtype, out)
+    g = np.empty((math.prod(lead) * nbh, cf, nbw * block), rdtype)
+    out = np.empty(lead + (nbh * block, nbw * block), rdtype)
     with np.errstate(invalid="ignore"):
         # Column inverse first (the dense evaluation order):
         # (rows*cf*nbw, cf) @ (cf, B) -> (..., cf*nbh, W).
@@ -411,23 +359,7 @@ def tiled_decompress_nd(
 # ----------------------------------------------------------------------
 # Autograd: one op per direction, backward = the other direction
 # ----------------------------------------------------------------------
-class _TiledOp(rt.Function):
-    """Shared plumbing of the two tiled autograd ops.
-
-    Gradient-carrying outputs live on the tape, so neither they nor the
-    gradients may come from an arena ring slot (a reused slot would
-    overwrite a live tape value): both bypass the active arena.
-    """
-
-    @classmethod
-    def apply(cls, x: Tensor, **kwargs) -> Tensor:
-        if x.requires_grad and is_grad_enabled():
-            with arena_mod.bypass():
-                return super().apply(x, **kwargs)
-        return super().apply(x, **kwargs)
-
-
-class TiledCompress(_TiledOp):
+class TiledCompress(rt.Function):
     """Differentiable :func:`tiled_compress_nd`.
 
     Compression ``Y = L X R`` is linear, so ``dX = L^T dY R^T``: the
@@ -440,11 +372,10 @@ class TiledCompress(_TiledOp):
 
     def backward(self, grad):
         (adj,) = self.saved
-        with arena_mod.bypass():
-            return (tiled_decompress_nd(grad, adj),)
+        return (tiled_decompress_nd(grad, adj),)
 
 
-class TiledDecompress(_TiledOp):
+class TiledDecompress(rt.Function):
     """Differentiable :func:`tiled_decompress_nd`; backward is compress
     with the adjoint operators."""
 
@@ -454,8 +385,7 @@ class TiledDecompress(_TiledOp):
 
     def backward(self, grad):
         (adj,) = self.saved
-        with arena_mod.bypass():
-            return (tiled_compress_nd(grad, adj),)
+        return (tiled_compress_nd(grad, adj),)
 
 
 def probe_input(shape: tuple[int, ...], dtype, *, cf: int, block: int, direction: str) -> np.ndarray:

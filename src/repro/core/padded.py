@@ -55,7 +55,7 @@ class PaddedCompressor:
         cf: int = 4,
         s: int = 2,
         block: int = DEFAULT_BLOCK,
-        fast: bool | None = None,
+        fast: bool = True,
     ) -> None:
         height = require_int("height", height)
         width = height if width is None else require_int("width", width)

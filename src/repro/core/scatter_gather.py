@@ -40,7 +40,7 @@ class ScatterGatherCompressor:
         *,
         cf: int = 4,
         block: int = DEFAULT_BLOCK,
-        fast: bool | None = None,
+        fast: bool = True,
     ) -> None:
         # The shared DC instance for this resolution (lazy import: api
         # imports us), so SG and plain DC traffic share probe verdicts.

@@ -48,7 +48,6 @@ replays are bit-identical to the pre-overload serving path.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -56,7 +55,6 @@ import numpy as np
 
 from repro.accel.compiler import PlanKey, compile_program
 from repro.core.api import make_compressor
-from repro.core.arena import Arena
 from repro.core.dct import DEFAULT_BLOCK
 from repro.errors import (
     CompileError,
@@ -128,24 +126,10 @@ class CompressionService:
         registry=None,
         slo=None,
         retry_budget=None,
-        arena: Arena | bool | None = None,
     ) -> None:
         if max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
         self.max_batch = max_batch
-        # Preallocated-buffer arena for the numeric hot path.  Off by
-        # default (None/False): replays stay bit-identical with zero new
-        # machinery.  ``True`` builds a service-owned Arena; passing an
-        # Arena shares it.  Batched dispatch outputs are copied out of
-        # the ring (Response.output must outlive later batches); the
-        # one-shot path hands out ring memory directly — valid until
-        # ``slots`` more same-shape calls, the streaming consume-then-
-        # resubmit contract (see repro.core.arena).
-        if arena is True:
-            arena = Arena()
-        elif arena is False:
-            arena = None
-        self.arena = arena
         self.cache = (
             cache
             if cache is not None
@@ -578,8 +562,7 @@ class CompressionService:
             ]
             self.log.bind(self.tracer, member_tids, time=now)
         try:
-            with self._arena_ctx():
-                out = rc.compress(batch.padded(self.max_batch))
+            out = rc.compress(batch.padded(self.max_batch))
             resolved = rc.compile("compress")
         except (CompileError, DeviceError) as exc:
             self._note_dead(rc)
@@ -651,10 +634,6 @@ class CompressionService:
         else:
             finish = self.scheduler.assign(exec_worker, start, duration)
         arr = out.numpy()
-        if self.arena is not None:
-            # Ring memory is recycled after `slots` more same-key batches;
-            # responses are long-lived, so pay one copy per batch here.
-            arr = arr.copy()
         compiles = self.cache.misses - misses_before
         for i, req in enumerate(batch.requests):
             response = Response(
@@ -943,9 +922,6 @@ class CompressionService:
         )
         return self._run_one(comp.decompress, arr, method, cf, s, block, "decompress", platform)
 
-    def _arena_ctx(self):
-        return self.arena.use() if self.arena is not None else contextlib.nullcontext()
-
     def _run_one(self, fn, arr, method, cf, s, block, direction, platform) -> Tensor:
         if platform is None:
             alive = self.scheduler.alive()
@@ -969,7 +945,5 @@ class CompressionService:
         except CompileError:
             # The host always runs the program eagerly; serving must not
             # make a previously-working call path start failing.
-            with self._arena_ctx():
-                return fn(Tensor(arr))
-        with self._arena_ctx():
-            return program.run(arr).output
+            return fn(Tensor(arr))
+        return program.run(arr).output

@@ -173,13 +173,13 @@ class TestSharedInstances:
         assert dense is not default
         assert dense is make_compressor(32, cf=4, fast=False)
 
-    def test_auto_shares_with_resolved_config(self):
-        from repro.core import autotune
+    def test_default_is_the_fast_instance(self):
+        assert make_compressor(32) is make_compressor(32, fast=True)
 
-        auto = make_compressor(16, cf=2, fast="auto")
-        plan = autotune.planned(16, 16, cf=2)
-        assert auto is make_compressor(16, cf=2, fast=plan.fast)
-        assert auto is make_compressor(16, cf=2, fast="auto")
+    @pytest.mark.parametrize("fast", ["auto", "turbo", None, 1])
+    def test_fast_must_be_a_bool(self, fast):
+        with pytest.raises(ConfigError, match="fast"):
+            make_compressor(32, fast=fast)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -224,8 +224,7 @@ class TestSharedInstances:
         assert sum(fused.fast_path_stats().values()) - before == 1
         assert all(np.array_equal(o, outs[0]) for o in outs)
 
-    @pytest.mark.parametrize("switch", ["force_dense", "set_fast_path"])
-    def test_dense_switches_beat_cached_verdicts(self, rng, monkeypatch, switch):
+    def test_force_dense_beats_cached_verdicts(self, rng, monkeypatch):
         from repro.core import fused
 
         comp = make_compressor(32, cf=4)
@@ -240,17 +239,9 @@ class TestSharedInstances:
 
         for name in ("tiled_compress_nd", "tiled_decompress_nd"):
             monkeypatch.setattr(fused, name, tiled_called)
-        if switch == "force_dense":
-            with fused.force_dense():
-                y_dense = comp.compress(x).data
-                rec_dense = comp.decompress(y_dense).data
-        else:
-            previous = fused.set_fast_path(False)
-            try:
-                y_dense = comp.compress(x).data
-                rec_dense = comp.decompress(y_dense).data
-            finally:
-                fused.set_fast_path(previous)
+        with fused.force_dense():
+            y_dense = comp.compress(x).data
+            rec_dense = comp.decompress(y_dense).data
         assert np.array_equal(y_dense, y)
         assert np.array_equal(rec_dense, rec)
         with pytest.raises(AssertionError, match="dense path forced"):

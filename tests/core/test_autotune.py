@@ -69,68 +69,3 @@ class TestBuildForTarget:
         assert comp.cf == result.cf
         rec = comp.roundtrip(smooth)
         assert psnr(smooth, rec) >= 28.0
-
-
-class TestExecutionPlanning:
-    @pytest.fixture(autouse=True)
-    def _fresh_plan_cache(self):
-        from repro.core import autotune
-
-        autotune.clear_plans()
-        yield
-        autotune.clear_plans()
-
-    def test_plan_measures_every_candidate(self):
-        from repro.core.autotune import plan_execution
-
-        plan = plan_execution(32, batch=2, repeats=1)
-        assert set(plan.samples) == {"dense", "fast"}
-        assert all(v > 0 for v in plan.samples.values())
-        assert plan.height == plan.width == 32
-        assert plan.dtype == "<f4"
-
-    def test_plan_picks_measured_minimum(self):
-        from repro.core.autotune import plan_execution
-
-        plan = plan_execution(32, batch=2, repeats=1)
-        best = min(plan.samples, key=plan.samples.get)
-        assert plan.label == best
-        assert plan.fast is (best == "fast")
-
-    def test_planned_caches_per_key(self):
-        from repro.core import autotune
-
-        a = autotune.planned(32, cf=4)
-        b = autotune.planned(32, cf=4)
-        assert a is b
-        c = autotune.planned(32, cf=2)
-        assert c is not a
-        autotune.clear_plans()
-        assert autotune.planned(32, cf=4) is not a
-
-    def test_rejects_bad_config(self):
-        from repro.core.autotune import plan_execution
-
-        with pytest.raises(ConfigError, match="repeats"):
-            plan_execution(32, repeats=0)
-
-    def test_make_compressor_fast_auto_follows_plan(self):
-        from repro.core import autotune, make_compressor
-
-        comp = make_compressor(32, method="dc", cf=4, fast="auto")
-        plan = autotune.planned(32, cf=4)
-        assert comp._fast is plan.fast
-
-    def test_make_compressor_rejects_unknown_fast_string(self):
-        from repro.core import make_compressor
-
-        with pytest.raises(ConfigError, match="fast"):
-            make_compressor(32, fast="turbo")
-
-    def test_fast_auto_ps_plans_at_plane_resolution(self):
-        from repro.core import autotune, make_compressor
-
-        autotune.clear_plans()
-        make_compressor(64, method="ps", cf=4, s=2, fast="auto")
-        # The PS fast path runs one whole-plane kernel; that is the planned key.
-        assert [key[:2] for key in autotune._plans] == [(64, 64)]

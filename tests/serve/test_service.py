@@ -113,41 +113,3 @@ class TestImmediatePath:
         x = np.zeros((2000, 1, 16, 16), np.float32)
         out = service.compress_one(x, cf=4)
         assert out.shape[0] == 2000
-
-
-class TestArenaServing:
-    def test_arena_replay_bit_identical(self):
-        """arena=True is a memory strategy, not a numeric one: the full
-        trace replay must produce byte-identical responses."""
-        plain, _ = CompressionService(("ipu",), max_batch=4).process(small_trace())
-        arena_svc = CompressionService(("ipu",), max_batch=4, arena=True)
-        pooled, _ = arena_svc.process(small_trace())
-        assert len(plain) == len(pooled)
-        for a, b in zip(plain, pooled):
-            assert np.array_equal(a.output, b.output)
-        # The arena actually served the traffic.
-        assert arena_svc.arena is not None
-        assert arena_svc.arena.hits > 0
-
-    def test_arena_responses_are_stable_after_later_batches(self):
-        """Batch outputs must be copied out of the ring: an early response
-        must not be silently overwritten by later same-shape batches."""
-        service = CompressionService(("ipu",), max_batch=4, arena=True)
-        responses, _ = service.process(small_trace())
-        early = responses[0].output.copy()
-        # Replay more same-shape traffic through the same service arena.
-        service.process(small_trace(seed=1))
-        assert np.array_equal(responses[0].output, early)
-
-    def test_arena_false_and_none_mean_off(self):
-        assert CompressionService(("ipu",), arena=False).arena is None
-        assert CompressionService(("ipu",)).arena is None
-
-    def test_arena_instance_is_shared(self):
-        from repro.core.arena import Arena
-
-        a = Arena()
-        service = CompressionService(("ipu",), max_batch=4, arena=a)
-        assert service.arena is a
-        service.process(small_trace())
-        assert a.hits + a.misses > 0
