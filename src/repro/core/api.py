@@ -21,7 +21,7 @@ from repro.core.chop import DCTChopCompressor
 from repro.core.dct import DEFAULT_BLOCK
 from repro.core.scatter_gather import ScatterGatherCompressor
 from repro.core.serialization import PartialSerializedCompressor
-from repro.errors import ConfigError, require_int
+from repro.errors import ConfigError, require_bool, require_int
 from repro.tensor import Tensor
 
 METHODS = ("dc", "ps", "sg")
@@ -97,8 +97,7 @@ def make_compressor(
     block = require_int("block", block)
     # Only PS subdivides; the other methods ignore ``s`` and share one key.
     s = require_int("subdivision factor s", s) if method == "ps" else None
-    if not isinstance(fast, bool):
-        raise ConfigError(f"fast must be True or False, got {fast!r}")
+    fast = require_bool("fast", fast)
 
     def build() -> Compressor:
         if method == "ps":

@@ -28,7 +28,7 @@ from repro.core import flops as flops_mod
 from repro.core import fused
 from repro.core.dct import DEFAULT_BLOCK, block_diagonal_dct
 from repro.core.mask import chop_mask
-from repro.errors import ConfigError, ShapeError, require_int
+from repro.errors import ConfigError, ShapeError, require_bool, require_int
 from repro.faults.injector import suspend_faults
 from repro.obs.profile import profiled
 from repro.tensor import Tensor, no_grad
@@ -57,7 +57,7 @@ class ProbedFastPath:
     """
 
     def _init_fast_path(self, fast: bool) -> None:
-        self._fast = bool(fast)
+        self._fast = require_bool("fast", fast)
         # (direction, lead shape, dtype) -> probe verdict
         # (True = fast ok).  The lock serializes probe-and-insert: without
         # it, concurrent first-calls on one shape probe twice and racing
@@ -156,6 +156,7 @@ class DCTChopCompressor(ProbedFastPath):
         uses the fast path after a seeded equivalence probe proves it
         bit-identical to the dense oracle, and never inside
         :func:`repro.core.fused.force_dense` — see :mod:`repro.core.fused`.
+        Anything but a bool raises :class:`ConfigError`.
     """
 
     method = "dc"

@@ -68,6 +68,17 @@ def require_int(name: str, value, *, minimum: int = 1) -> int:
     return value
 
 
+def require_bool(name: str, value) -> bool:
+    """Validate a flag that must be exactly ``True`` or ``False``.
+
+    ``bool()`` would accept anything: ``fast="dense"`` or ``fast="auto"``
+    is truthy and silently selects the path it does not name.
+    """
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be True or False, got {value!r}")
+    return value
+
+
 class IntegrityError(ReproError):
     """A stored container failed validation (truncation, checksum mismatch).
 

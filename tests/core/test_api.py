@@ -176,7 +176,7 @@ class TestSharedInstances:
     def test_default_is_the_fast_instance(self):
         assert make_compressor(32) is make_compressor(32, fast=True)
 
-    @pytest.mark.parametrize("fast", ["auto", "turbo", None, 1])
+    @pytest.mark.parametrize("fast", ["auto", "turbo", None, 1, "dense", 0, np.True_])
     def test_fast_must_be_a_bool(self, fast):
         with pytest.raises(ConfigError, match="fast"):
             make_compressor(32, fast=fast)

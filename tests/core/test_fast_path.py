@@ -6,11 +6,14 @@ path, so the user-visible output equals the dense oracle's bytes on every
 shape, dtype and variant.  These tests exercise that contract directly.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import (
     DCTChopCompressor,
+    PaddedCompressor,
     PartialSerializedCompressor,
     ScatterGatherCompressor,
     force_dense,
@@ -18,6 +21,7 @@ from repro.core import (
     make_compressor,
 )
 from repro.core import fused
+from repro.errors import ConfigError
 from repro.tensor import Tensor
 
 SHAPES = [
@@ -203,10 +207,71 @@ class TestProbeGuard:
         assert not np.array_equal(a, c)
 
 
+CONSTRUCTORS = {
+    # method -> (constructor taking ``fast=``, input plane size)
+    "dc": (lambda fast: DCTChopCompressor(32, cf=4, fast=fast), 32),
+    "ps": (lambda fast: PartialSerializedCompressor(32, cf=4, s=2, fast=fast), 32),
+    "sg": (lambda fast: ScatterGatherCompressor(32, cf=4, fast=fast), 32),
+    "padded": (lambda fast: PaddedCompressor(30, cf=4, fast=fast), 30),
+}
+
+
+def _no_tiled_kernels(monkeypatch) -> None:
+    def tiled_called(*args, **kwargs):
+        raise AssertionError("tiled kernel ran on a dense-only path")
+
+    for name in ("tiled_compress_nd", "tiled_decompress_nd"):
+        monkeypatch.setattr(fused, name, tiled_called)
+
+
 class TestSwitches:
     def test_fast_false_pins_dense(self):
         c = DCTChopCompressor(32, cf=4, fast=False)
         assert not c._use_fast((2, 32, 32), np.float32, "compress")
+
+    @pytest.mark.parametrize("method", list(CONSTRUCTORS))
+    def test_fast_false_never_runs_tiled(self, rng, monkeypatch, method):
+        build, n = CONSTRUCTORS[method]
+        fast, dense = build(True), build(False)
+        x = rng.standard_normal((2, n, n)).astype(np.float32)
+        y = fast.compress(x).data
+        rec = fast.decompress(y).data
+        _no_tiled_kernels(monkeypatch)
+        assert np.array_equal(dense.compress(x).data, y)
+        assert np.array_equal(dense.decompress(y).data, rec)
+
+    @pytest.mark.parametrize("fast", ["auto", "dense", 0])
+    @pytest.mark.parametrize("method", list(CONSTRUCTORS))
+    def test_constructors_reject_non_bool_fast(self, method, fast):
+        # ``fast="dense"`` is truthy: coercing it would run the tiled path.
+        build, _ = CONSTRUCTORS[method]
+        with pytest.raises(ConfigError, match="fast"):
+            build(fast)
+
+    @pytest.mark.parametrize("override", [True, False], ids=["fast", "dense"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    def test_fast_path_active_truth_table(self, override, forced):
+        if forced:
+            with force_dense():
+                assert fused.fast_path_active(override) is False
+        else:
+            assert fused.fast_path_active(override) is override
+
+    def test_force_dense_nests(self):
+        with force_dense():
+            with force_dense():
+                assert fused.dense_forced()
+            assert fused.dense_forced()
+        assert not fused.dense_forced()
+
+    def test_force_dense_is_thread_local(self):
+        seen = []
+        with force_dense():
+            worker = threading.Thread(target=lambda: seen.append(fused.dense_forced()))
+            worker.start()
+            worker.join()
+            assert fused.dense_forced()
+        assert seen == [False]
 
     def test_force_dense_context(self, rng):
         c = DCTChopCompressor(32, cf=4, fast=True)
@@ -296,6 +361,21 @@ class TestGradients:
         out_d, grad_d = _grad_roundtrip(_grad_compressor(method, False, transform), data, g)
         assert np.array_equal(out_f, out_d)
         np.testing.assert_allclose(grad_f, grad_d, rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("method,transform", GRAD_CASES)
+    def test_tape_values_survive_interleaved_graphs(self, rng, method, transform):
+        # Every graph is built before any backward runs: a saved value or
+        # output reused across calls would be overwritten by a later forward.
+        comp = _grad_compressor(method, True, transform)
+        inputs = [rng.standard_normal((2, 32, 32)).astype(np.float32) for _ in range(4)]
+        g = rng.standard_normal((2, 32, 32)).astype(np.float32)
+        expected = [_grad_roundtrip(comp, x, g) for x in inputs]
+        leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+        outs = [comp.decompress(comp.compress(leaf)) for leaf in leaves]
+        for leaf, out, (ref_out, ref_grad) in zip(leaves, outs, expected):
+            out.backward(g)
+            assert np.array_equal(out.data, ref_out)
+            assert np.array_equal(leaf.grad, ref_grad)
 
     @pytest.mark.parametrize("method,transform", GRAD_CASES)
     def test_grad_roundtrip_under_integrity_policy(self, rng, method, transform):
@@ -407,6 +487,68 @@ class TestOperatorCache:
         t1 = DCTChopCompressor(32, cf=4)._fops
         t2 = DCTChopCompressor(32, cf=4)._fops
         assert t1 is t2  # same FusedOps object from the shared cache
+
+
+def _kernel(direction: str, rng, dtype):
+    """An input and a one-argument tiled kernel call for ``direction``."""
+    ops = fused_operators(8, 4, dtype)
+    if direction == "compress":
+        arg = rng.standard_normal((2, 16, 16)).astype(dtype)
+        return arg, lambda a: fused.tiled_compress_nd(a, ops)
+    arg = rng.standard_normal((2, 8, 8)).astype(dtype)
+    return arg, lambda a: fused.tiled_decompress_nd(a, ops)
+
+
+class TestFreshBuffers:
+    """Each kernel and compressor call hands back a new array it owns."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("direction", ["compress", "decompress"])
+    def test_each_call_returns_a_new_owned_array(self, rng, direction, dtype):
+        arg, run = _kernel(direction, rng, dtype)
+        first = run(arg)
+        kept = first.copy()
+        second = run(arg)
+        for out in (first, second):
+            assert out.dtype == dtype
+            assert out.flags.writeable and out.flags.c_contiguous
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+        run(rng.standard_normal(arg.shape).astype(dtype))
+        assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("direction", ["compress", "decompress"])
+    def test_input_is_neither_aliased_nor_written(self, rng, direction):
+        arg, run = _kernel(direction, rng, np.float32)
+        kept = arg.copy()
+        out = run(arg)
+        assert not np.shares_memory(out, arg)
+        assert np.array_equal(arg, kept)
+
+    @pytest.mark.parametrize("direction", ["compress", "decompress"])
+    def test_strided_input_matches_contiguous(self, rng, direction):
+        arg, run = _kernel(direction, rng, np.float32)
+        backing = np.zeros(arg.shape[:-1] + (2 * arg.shape[-1],), np.float32)
+        strided = backing[..., ::2]
+        strided[...] = arg
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(run(strided), run(arg))
+
+    @pytest.mark.parametrize("method", list(CONSTRUCTORS))
+    def test_results_survive_later_calls(self, rng, method):
+        build, n = CONSTRUCTORS[method]
+        comp = build(True)
+        x = rng.standard_normal((2, n, n)).astype(np.float32)
+        y = comp.compress(x).data
+        rec = comp.decompress(y).data
+        y_kept, rec_kept = y.copy(), rec.copy()
+        for _ in range(4):
+            other = rng.standard_normal(x.shape).astype(np.float32)
+            comp.decompress(comp.compress(other))
+        assert np.array_equal(y, y_kept)
+        assert np.array_equal(rec, rec_kept)
+        assert not np.shares_memory(y, comp.compress(x).data)
+        assert not np.shares_memory(rec, comp.decompress(y).data)
 
 
 class TestTracingStaysDense:

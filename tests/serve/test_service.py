@@ -113,3 +113,22 @@ class TestImmediatePath:
         x = np.zeros((2000, 1, 16, 16), np.float32)
         out = service.compress_one(x, cf=4)
         assert out.shape[0] == 2000
+
+
+class TestHostPathServing:
+    def test_responses_are_stable_after_later_batches(self):
+        """An early response must not change when the same service later
+        serves more same-shape batches."""
+        service = CompressionService(("ipu",), max_batch=4)
+        responses, _ = service.process(small_trace())
+        early = [r.output.copy() for r in responses]
+        service.process(small_trace(seed=1))
+        for response, kept in zip(responses, early):
+            assert np.array_equal(response.output, kept)
+
+    def test_responses_never_overlap(self):
+        responses, _ = CompressionService(("ipu",), max_batch=4).process(small_trace())
+        outputs = [r.output for r in responses]
+        for i, a in enumerate(outputs):
+            for b in outputs[i + 1 :]:
+                assert not np.shares_memory(a, b)
