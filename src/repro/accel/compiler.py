@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -184,6 +185,30 @@ class CompiledProgram:
     name: str = "program"
     key: PlanKey | None = None
     _runs: int = field(default=0, repr=False)
+    # (registry, runs handle, modelled-seconds handle), bound on the first
+    # run and rebound when get_registry() no longer returns that registry:
+    # a program outlives registry swaps inside the plan caches.
+    _meters: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _timing(self) -> TimingBreakdown:
+        """Modelled timing per run: cost and spec are fixed at compile time."""
+        return estimate_time(self.cost, self.spec)
+
+    def _bind_meters(self, reg) -> tuple:
+        platform = self.spec.name
+        self._meters = (
+            reg,
+            reg.counter(
+                "repro_program_runs_total", help="compiled-program executions, by platform"
+            ).labels(platform=platform),
+            reg.counter(
+                "repro_device_modelled_seconds_total",
+                help="modelled device seconds booked by program runs",
+                unit="s",
+            ).labels(platform=platform),
+        )
+        return self._meters
 
     def run(self, *inputs) -> RunResult:
         """Execute numerically and report modelled timing.
@@ -204,16 +229,13 @@ class CompiledProgram:
         out = self._guard_output(out)
         wall = time.perf_counter() - start
         self._runs += 1
-        timing = estimate_time(self.cost, self.spec)
+        timing = self._timing
         reg = get_registry()
-        reg.counter(
-            "repro_program_runs_total", help="compiled-program executions, by platform"
-        ).inc(platform=self.spec.name)
-        reg.counter(
-            "repro_device_modelled_seconds_total",
-            help="modelled device seconds booked by program runs",
-            unit="s",
-        ).inc(timing.total, platform=self.spec.name)
+        meters = self._meters
+        if meters is None or meters[0] is not reg:
+            meters = self._bind_meters(reg)
+        meters[1].inc()
+        meters[2].inc(timing.total)
         return RunResult(output=out, timing=timing, wall_seconds=wall)
 
     def _guard_output(self, out: Tensor) -> Tensor:
@@ -248,7 +270,7 @@ class CompiledProgram:
 
     def estimated_time(self) -> float:
         """Modelled seconds per run at the compiled shapes."""
-        return estimate_time(self.cost, self.spec).total
+        return self._timing.total
 
 
 def compile_program(

@@ -62,7 +62,7 @@ from repro.fleet.tenants import TenantAdmission, TenantPolicy
 from repro.fleet.worker import FleetWorker
 from repro.integrity import policy as _integrity
 from repro.obs.context import TraceContext
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import ByLabel, get_registry
 from repro.resilience.log import RecoveryLog
 from repro.serve.batcher import Request, ServiceKey
 from repro.serve.overload import OverloadPolicy, ShedRequest
@@ -208,6 +208,10 @@ class FleetRouter:
             "repro_tenant_quota_shed_total",
             help="requests refused by weighted-fair admission, by tenant",
         )
+        # Per-request series, bound on first use per worker / tenant.
+        self._h_requests = ByLabel(self._m_requests, "worker")
+        self._h_tenant_requests = ByLabel(self._m_tenant_requests, "tenant")
+        self._h_tenant_served = ByLabel(self._m_tenant_served, "tenant")
         self._next_index = 0
         self._ordinal = 0
         self._cooldown_remaining = 0
@@ -349,7 +353,7 @@ class FleetRouter:
         self._trace_ctx: dict[int, TraceContext] = {}  # rid -> current hop ctx
 
     def _route(self, req: Request, now: float, *, replay: bool = False) -> None:
-        self._m_tenant_requests.inc(tenant=req.tenant)
+        self._h_tenant_requests[req.tenant].inc()
         ctx = None
         if self.tracer is not None:
             # One trace per request for its whole fleet lifetime: the root
@@ -392,7 +396,7 @@ class FleetRouter:
             self._m_replays.inc()
         worker = self.workers[name]
         self.worker_of_rid[req.rid] = name
-        self._m_requests.inc(worker=name)
+        self._h_requests[name].inc()
         if ctx is not None:
             labels = dict(
                 worker=name, tenant=req.tenant, route_key=route_key(req.key)
@@ -438,7 +442,7 @@ class FleetRouter:
                 self._tenant_latency[tenant] = tenant_reservoir()
             self._tenant_latency[tenant].add(r.latency_s)
             self._recent_latency.append(r.latency_s)
-            self._m_tenant_served.inc(tenant=tenant)
+            self._h_tenant_served[tenant].inc()
             if self.tracer is not None and r.trace_id is not None:
                 self.tracer.record_event(
                     r.trace_id, "fleet.worker", r.finish,

@@ -3,7 +3,13 @@
 One named instrument per metric, with optional labels (``counter.inc(
 platform="ipu")``), replacing the per-module tallies that PR 1 and PR 2
 each grew on their own (``CompiledPlanCache`` ints, ``ServerStats``
-lists, ``RecoveryLog`` scans).  Histograms use *fixed exponential
+lists, ``RecoveryLog`` scans).
+
+Hot callers resolve a labelset once: ``instrument.labels(**labels)``
+returns a handle holding the series key and the instrument's lock
+(``prometheus_client`` style), so each later ``inc``/``set``/``observe``
+is one locked dict update.  :class:`ByLabel` binds those handles on
+first use per label value.  Histograms use *fixed exponential
 buckets* so their memory is bounded regardless of sample count, and
 :class:`Reservoir` provides bounded, seeded, deterministic percentile
 estimation for latency series.
@@ -20,6 +26,7 @@ deterministic.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +38,8 @@ _LabelKey = tuple
 
 
 def _label_key(labels: dict) -> _LabelKey:
+    if not labels:
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -80,6 +89,67 @@ class _Instrument:
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
+        self._values: dict = {}
+
+    def series(self) -> dict:
+        return dict(self._values)
+
+
+class _Handle:
+    """One labelled series of an instrument, resolved once.
+
+    Holds the series key, the instrument's storage and its lock, so an
+    update is one locked dict write to the same cell the instrument's
+    own ``inc``/``set``/``observe(**labels)`` writes.  Binding creates
+    no series: it appears on the first update, as it would unbound.
+    """
+
+    __slots__ = ("instrument", "key", "_lock", "_values")
+
+    def __init__(self, instrument: _Instrument, key: _LabelKey) -> None:
+        self.instrument = instrument
+        self.key = key
+        self._lock = instrument._lock
+        self._values = instrument._values
+
+
+class CounterHandle(_Handle):
+    """A bound :class:`Counter` series (``counter.labels(...)``)."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1) -> None:
+        if amount < 0:
+            raise ConfigError(
+                f"counter {self.instrument.name} cannot decrease (inc {amount})"
+            )
+        key, values = self.key, self._values
+        with self._lock:
+            values[key] = values.get(key, 0) + amount
+
+    def value(self) -> float:
+        return self._values.get(self.key, 0)
+
+
+class GaugeHandle(_Handle):
+    """A bound :class:`Gauge` series (``gauge.labels(...)``)."""
+
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        with self._lock:
+            self._values[self.key] = value
+
+    def inc(self, amount: float = 1) -> None:
+        key, values = self.key, self._values
+        with self._lock:
+            values[key] = values.get(key, 0) + amount
+
+    def dec(self, amount: float = 1) -> None:
+        self.inc(-amount)
+
+    def value(self) -> float:
+        return self._values.get(self.key, 0)
 
 
 class Counter(_Instrument):
@@ -87,14 +157,12 @@ class Counter(_Instrument):
 
     def __init__(self, name: str, help: str = "", unit: str = "") -> None:
         super().__init__(name, help, unit, kind="counter")
-        self._values: dict[_LabelKey, float] = {}
+
+    def labels(self, **labels) -> CounterHandle:
+        return CounterHandle(self, _label_key(labels))
 
     def inc(self, amount: float = 1, **labels) -> None:
-        if amount < 0:
-            raise ConfigError(f"counter {self.name} cannot decrease (inc {amount})")
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0) + amount
+        self.labels(**labels).inc(amount)
 
     def value(self, **labels) -> float:
         return self._values.get(_label_key(labels), 0)
@@ -104,25 +172,21 @@ class Counter(_Instrument):
         """Sum across every labelset."""
         return sum(self._values.values())
 
-    def series(self) -> dict[_LabelKey, float]:
-        return dict(self._values)
-
 
 class Gauge(_Instrument):
     """A settable point-in-time value per labelset."""
 
     def __init__(self, name: str, help: str = "", unit: str = "") -> None:
         super().__init__(name, help, unit, kind="gauge")
-        self._values: dict[_LabelKey, float] = {}
+
+    def labels(self, **labels) -> GaugeHandle:
+        return GaugeHandle(self, _label_key(labels))
 
     def set(self, value: float, **labels) -> None:
-        with self._lock:
-            self._values[_label_key(labels)] = value
+        self.labels(**labels).set(value)
 
     def inc(self, amount: float = 1, **labels) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0) + amount
+        self.labels(**labels).inc(amount)
 
     def dec(self, amount: float = 1, **labels) -> None:
         self.inc(-amount, **labels)
@@ -130,15 +194,45 @@ class Gauge(_Instrument):
     def value(self, **labels) -> float:
         return self._values.get(_label_key(labels), 0)
 
-    def series(self) -> dict[_LabelKey, float]:
-        return dict(self._values)
-
 
 @dataclass
 class _HistogramSeries:
     counts: list[int]
     sum: float = 0.0
     count: int = 0
+
+
+def _bucket_index(buckets: tuple[float, ...], value) -> int:
+    """``np.searchsorted(buckets, value, side="left")`` at ``bisect`` cost.
+
+    ``float()`` first, so a numpy ``float32`` compares at float64 as
+    searchsorted promotes it (a bare float32 would pull the bounds down
+    to float32).  NaN compares false against every bound, so ``bisect``
+    would file it in bucket 0; searchsorted sorts it last, into +Inf.
+    """
+    v = float(value)
+    return bisect_left(buckets, v) if v == v else len(buckets)
+
+
+class HistogramHandle(_Handle):
+    """A bound :class:`Histogram` series (``histogram.labels(...)``)."""
+
+    __slots__ = ("_buckets", "_series")
+
+    def __init__(self, instrument: "Histogram", key: _LabelKey) -> None:
+        super().__init__(instrument, key)
+        self._buckets = instrument.buckets
+        self._series: _HistogramSeries | None = None
+
+    def observe(self, value: float) -> None:
+        index = _bucket_index(self._buckets, value)
+        with self._lock:
+            series = self._series
+            if series is None:
+                series = self._series = self.instrument._get_series(self.key)
+            series.sum += value
+            series.count += 1
+            series.counts[index] += 1
 
 
 class Histogram(_Instrument):
@@ -155,33 +249,30 @@ class Histogram(_Instrument):
         if not buckets or any(b <= a for a, b in zip(buckets, buckets[1:])):
             raise ConfigError(f"histogram {name} needs strictly increasing buckets")
         self.buckets = tuple(float(b) for b in buckets)
-        self._series: dict[_LabelKey, _HistogramSeries] = {}
 
     def _get_series(self, key: _LabelKey) -> _HistogramSeries:
-        series = self._series.get(key)
+        series = self._values.get(key)
         if series is None:
-            series = self._series[key] = _HistogramSeries(counts=[0] * (len(self.buckets) + 1))
+            series = self._values[key] = _HistogramSeries(counts=[0] * (len(self.buckets) + 1))
         return series
 
+    def labels(self, **labels) -> HistogramHandle:
+        return HistogramHandle(self, _label_key(labels))
+
     def observe(self, value: float, **labels) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            series = self._get_series(key)
-            series.sum += value
-            series.count += 1
-            series.counts[int(np.searchsorted(self.buckets, value, side="left"))] += 1
+        self.labels(**labels).observe(value)
 
     def count(self, **labels) -> int:
-        series = self._series.get(_label_key(labels))
+        series = self._values.get(_label_key(labels))
         return series.count if series else 0
 
     def sum(self, **labels) -> float:
-        series = self._series.get(_label_key(labels))
+        series = self._values.get(_label_key(labels))
         return series.sum if series else 0.0
 
     def bucket_counts(self, **labels) -> list[int]:
         """Per-bucket counts (last entry is the +Inf overflow bucket)."""
-        series = self._series.get(_label_key(labels))
+        series = self._values.get(_label_key(labels))
         return list(series.counts) if series else [0] * (len(self.buckets) + 1)
 
     def quantile(self, q: float, **labels) -> float:
@@ -190,7 +281,7 @@ class Histogram(_Instrument):
         Deterministic and conservative; 0 for an empty series, and the
         last finite bucket bound for overflow samples.
         """
-        series = self._series.get(_label_key(labels))
+        series = self._values.get(_label_key(labels))
         if series is None or series.count == 0:
             return 0.0
         rank = max(1, int(np.ceil(q / 100.0 * series.count)))
@@ -201,8 +292,23 @@ class Histogram(_Instrument):
                 return self.buckets[min(i, len(self.buckets) - 1)]
         return self.buckets[-1]
 
-    def series(self) -> dict[_LabelKey, _HistogramSeries]:
-        return dict(self._series)
+
+class ByLabel(dict):
+    """Handles of one instrument keyed by one label's value, bound on first use.
+
+    ``by[value]`` is ``instrument.labels(**{label: value})``: resolved
+    the first time ``value`` is seen, a plain dict hit after that.
+    Nothing is bound up front, so an idle caller costs nothing.
+    """
+
+    def __init__(self, instrument: _Instrument, label: str) -> None:
+        super().__init__()
+        self.instrument = instrument
+        self.label = label
+
+    def __missing__(self, value):
+        handle = self[value] = self.instrument.labels(**{self.label: value})
+        return handle
 
 
 class Reservoir:
@@ -231,8 +337,11 @@ class Reservoir:
         value = float(value)
         self.count += 1
         self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        # Same results as min()/max() (NaN included), without the calls.
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
         if len(self._samples) < self.capacity:
             self._samples.append(value)
         else:
@@ -340,12 +449,13 @@ class MetricsRegistry:
             if inst.help:
                 lines.append(f"# HELP {name} {_escape_help(inst.help)}")
             lines.append(f"# TYPE {name} {inst.kind}")
+            values = inst.series()
             if isinstance(inst, (Counter, Gauge)):
-                for key in sorted(inst.series()):
-                    lines.append(f"{name}{_format_labels(key)} {inst.series()[key]:g}")
+                for key in sorted(values):
+                    lines.append(f"{name}{_format_labels(key)} {values[key]:g}")
             elif isinstance(inst, Histogram):
-                for key in sorted(inst.series()):
-                    series = inst.series()[key]
+                for key in sorted(values):
+                    series = values[key]
                     cumulative = 0
                     for bound, n in zip(inst.buckets, series.counts):
                         cumulative += n

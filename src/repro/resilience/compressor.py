@@ -17,6 +17,8 @@ side resolved to, so the compressed representation always matches.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.dct import DEFAULT_BLOCK
@@ -102,13 +104,13 @@ class ResilientCompressor:
 
     def _policy(self, *, pinned: bool) -> LadderPolicy:
         base = self.ladder
-        return LadderPolicy(
-            allow_ps=base.allow_ps and not pinned,
-            ps_factors=base.ps_factors,
-            allow_shard=base.allow_shard,
-            allow_fallback=base.allow_fallback,
-            fallback_platforms=base.fallback_platforms,
-            exclude_platforms=tuple(set(base.exclude_platforms) | self._dead),
+        allow_ps = base.allow_ps and not pinned
+        if allow_ps == base.allow_ps and self._dead.issubset(base.exclude_platforms):
+            return base
+        return replace(
+            base,
+            allow_ps=allow_ps,
+            exclude_platforms=(*base.exclude_platforms, *self._dead),
         )
 
     def _ensure(self, direction: str) -> LadderResult:

@@ -22,6 +22,7 @@ Every attempt — failed or successful — is recorded in a
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,9 +37,15 @@ from repro.resilience.log import RecoveryLog
 RUNGS = ("original", "ps", "shard", "fallback")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LadderPolicy:
-    """Which rungs the ladder may take, and in what shape."""
+    """Which rungs the ladder may take, and in what shape.
+
+    Frozen and hashable, so the attempt list is built once per
+    (platform, method, s, batch, policy).  Sequences are stored as
+    tuples; ``exclude_platforms`` is a set in meaning, kept sorted so
+    equal exclusions make equal policies.
+    """
 
     allow_ps: bool = True
     ps_factors: tuple[int, ...] = (2, 4, 8)
@@ -46,6 +53,13 @@ class LadderPolicy:
     allow_fallback: bool = True
     fallback_platforms: tuple[str, ...] = ("ipu", "cs2", "sn30", "groq", "a100", "cpu")
     exclude_platforms: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ps_factors", tuple(self.ps_factors))
+        object.__setattr__(self, "fallback_platforms", tuple(self.fallback_platforms))
+        object.__setattr__(
+            self, "exclude_platforms", tuple(sorted(set(self.exclude_platforms)))
+        )
 
 
 @dataclass(frozen=True)
@@ -79,9 +93,10 @@ class LadderResult:
         return self.attempt.rung != "original"
 
 
+@functools.lru_cache(maxsize=256)
 def _attempts(
     platform: str, method: str, s: int, batch: int, policy: LadderPolicy
-) -> list[Attempt]:
+) -> tuple[Attempt, ...]:
     out = [Attempt("original", platform, method, s)]
     if policy.allow_ps:
         floor = s if method == "ps" else 0
@@ -100,7 +115,7 @@ def _attempts(
         for alt in policy.fallback_platforms:
             if alt != platform and alt not in policy.exclude_platforms:
                 out.append(Attempt("fallback", alt, method, s))
-    return [a for a in out if a.platform not in policy.exclude_platforms]
+    return tuple(a for a in out if a.platform not in policy.exclude_platforms)
 
 
 def compile_with_ladder(

@@ -13,6 +13,7 @@ entries independently).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,6 +115,29 @@ class Batch:
         return live, expired
 
 
+class _Group:
+    """One key's queued requests plus their oldest and newest arrival."""
+
+    __slots__ = ("requests", "oldest", "newest")
+
+    def __init__(self, request: Request) -> None:
+        self.requests = [request]
+        self.oldest = self.newest = request.arrival
+
+    def add(self, request: Request) -> None:
+        self.requests.append(request)
+        # Strict comparisons keep the first of equal arrivals, as min/max do.
+        arrival = request.arrival
+        if arrival < self.oldest:
+            self.oldest = arrival
+        elif arrival > self.newest:
+            self.newest = arrival
+
+    def batch(self, key: ServiceKey, deadline: float) -> Batch:
+        """Form at the flush deadline, clamped after every member arrival."""
+        return Batch(key=key, requests=self.requests, formed_at=max(deadline, self.newest))
+
+
 @dataclass
 class DynamicBatcher:
     """Coalesce same-key requests under a max-batch / max-wait policy.
@@ -122,12 +146,20 @@ class DynamicBatcher:
     groups; :attr:`at_capacity` is the backpressure signal the overload
     layer consults before admitting more work (``None`` = unbounded, the
     pre-overload behaviour).
+
+    Each group keeps its oldest and newest arrival and the batcher keeps
+    a running depth and the earliest group deadline, so :meth:`due`
+    returns at once while nothing is due and :attr:`depth` is O(1).
     """
 
     max_batch: int = 8
     max_wait: float = 0.002            # modelled seconds the oldest request may wait
     max_depth: int | None = None       # bound on queued requests (backpressure)
-    _pending: dict[ServiceKey, list[Request]] = field(default_factory=dict, repr=False)
+    _pending: dict[ServiceKey, _Group] = field(default_factory=dict, repr=False)
+    _depth: int = field(default=0, init=False, repr=False)
+    # No group is due before this; may lag low after a full group leaves
+    # (a later due() rescans and tightens it), never high.
+    _next_due: float = field(default=math.inf, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -147,12 +179,20 @@ class DynamicBatcher:
         old requests re-enter out of arrival order, and a batch must not
         form before a member arrived.
         """
-        group = self._pending.setdefault(request.key, [])
-        group.append(request)
-        if len(group) >= self.max_batch:
-            del self._pending[request.key]
-            formed_at = max(r.arrival for r in group)
-            return Batch(key=request.key, requests=group, formed_at=formed_at)
+        key = request.key
+        group = self._pending.get(key)
+        if group is None:
+            group = self._pending[key] = _Group(request)
+        else:
+            group.add(request)
+        self._depth += 1
+        if len(group.requests) >= self.max_batch:
+            del self._pending[key]
+            self._depth -= len(group.requests)
+            return Batch(key=key, requests=group.requests, formed_at=group.newest)
+        deadline = group.oldest + self.max_wait
+        if deadline < self._next_due:
+            self._next_due = deadline
         return None
 
     def due(self, now: float) -> list[Batch]:
@@ -164,25 +204,30 @@ class DynamicBatcher:
         Replayed members may carry arrivals past the deadline of a group
         they joined late; formation is clamped after every arrival.
         """
+        if now < self._next_due:
+            return []
         out = []
+        next_due = math.inf
         for key in list(self._pending):
             group = self._pending[key]
-            deadline = min(r.arrival for r in group) + self.max_wait
+            deadline = group.oldest + self.max_wait
             if deadline <= now:
                 del self._pending[key]
-                formed_at = max(deadline, max(r.arrival for r in group))
-                out.append(Batch(key=key, requests=group, formed_at=formed_at))
+                self._depth -= len(group.requests)
+                out.append(group.batch(key, deadline))
+            elif deadline < next_due:
+                next_due = deadline
+        self._next_due = next_due
         out.sort(key=lambda b: (b.formed_at, b.key.describe()))
         return out
 
     def flush(self) -> list[Batch]:
         """Drain everything (end of trace); deadlines still apply."""
-        out = []
-        for key, group in self._pending.items():
-            deadline = min(r.arrival for r in group) + self.max_wait
-            formed_at = max(deadline, max(r.arrival for r in group))
-            out.append(Batch(key=key, requests=group, formed_at=formed_at))
-        self._pending.clear()
+        out = [
+            group.batch(key, group.oldest + self.max_wait)
+            for key, group in self._pending.items()
+        ]
+        self._clear()
         out.sort(key=lambda b: (b.formed_at, b.key.describe()))
         return out
 
@@ -194,17 +239,22 @@ class DynamicBatcher:
         router can replay them on surviving workers.  Order is arrival
         order (then rid), so replays are deterministic.
         """
-        out = [r for group in self._pending.values() for r in group]
-        self._pending.clear()
+        out = [r for group in self._pending.values() for r in group.requests]
+        self._clear()
         out.sort(key=lambda r: (r.arrival, r.rid))
         return out
+
+    def _clear(self) -> None:
+        self._pending.clear()
+        self._depth = 0
+        self._next_due = math.inf
 
     @property
     def depth(self) -> int:
         """Requests currently queued across all groups."""
-        return sum(len(g) for g in self._pending.values())
+        return self._depth
 
     @property
     def at_capacity(self) -> bool:
         """Backpressure signal: the bounded queue is full."""
-        return self.max_depth is not None and self.depth >= self.max_depth
+        return self.max_depth is not None and self._depth >= self.max_depth

@@ -21,6 +21,7 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from repro.accel.compiler import CompiledProgram, PlanKey
@@ -145,6 +146,19 @@ class CompiledPlanCache:
         )
         self._g_size = reg.gauge("repro_plan_cache_size", help="plans currently cached")
 
+    # Series handles of the per-lookup counters, bound on first use.
+    @cached_property
+    def _h_hits(self):
+        return self._c_hits.labels(cache=self._label)
+
+    @cached_property
+    def _h_misses(self):
+        return self._c_misses.labels(cache=self._label)
+
+    @cached_property
+    def _h_size(self):
+        return self._g_size.labels(cache=self._label)
+
     # ------------------------------------------------------------------
     def get(self, key: PlanKey) -> CompiledProgram | CompileError | None:
         """Counted lookup; refreshes LRU order on hit.
@@ -157,20 +171,20 @@ class CompiledPlanCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self._c_misses.inc(cache=self._label)
+                self._h_misses.inc()
                 return None
             if isinstance(entry, CompileError) and key in self._neg_budget:
                 budget = self._neg_budget[key]
                 if budget <= 0:
                     del self._entries[key]
                     del self._neg_budget[key]
-                    self._c_misses.inc(cache=self._label)
+                    self._h_misses.inc()
                     self._c_reprobes.inc(cache=self._label)
-                    self._g_size.set(len(self._entries), cache=self._label)
+                    self._h_size.set(len(self._entries))
                     return None
                 self._neg_budget[key] = budget - 1
             self._entries.move_to_end(key)
-            self._c_hits.inc(cache=self._label)
+            self._h_hits.inc()
             return entry
 
     def put(self, key: PlanKey, value: CompiledProgram | CompileError) -> None:
@@ -188,7 +202,7 @@ class CompiledPlanCache:
                 evicted, _ = self._entries.popitem(last=False)
                 self._neg_budget.pop(evicted, None)
                 self._c_evictions.inc(cache=self._label)
-            self._g_size.set(len(self._entries), cache=self._label)
+            self._h_size.set(len(self._entries))
 
     def get_or_compile(
         self, key: PlanKey, factory: Callable[[], CompiledProgram]
@@ -234,7 +248,7 @@ class CompiledPlanCache:
         with self._lock:
             self._entries.clear()
             self._neg_budget.clear()
-            self._g_size.set(0, cache=self._label)
+            self._h_size.set(0)
 
     def discard(self, key: PlanKey) -> bool:
         """Drop one entry (if present) without disturbing anything else.
@@ -247,7 +261,7 @@ class CompiledPlanCache:
             present = self._entries.pop(key, None) is not None
             self._neg_budget.pop(key, None)
             if present:
-                self._g_size.set(len(self._entries), cache=self._label)
+                self._h_size.set(len(self._entries))
             return present
 
     # ------------------------------------------------------------------
@@ -290,16 +304,16 @@ class CompiledPlanCache:
                     self._neg_budget[key] = budget
             for _ in range(dropped):
                 self._c_evictions.inc(cache=self._label)
-            self._g_size.set(len(self._entries), cache=self._label)
+            self._h_size.set(len(self._entries))
             return len(self._entries)
 
     @property
     def hits(self) -> int:
-        return int(self._c_hits.value(cache=self._label))
+        return int(self._h_hits.value())
 
     @property
     def misses(self) -> int:
-        return int(self._c_misses.value(cache=self._label))
+        return int(self._h_misses.value())
 
     @property
     def evictions(self) -> int:

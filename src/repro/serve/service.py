@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +66,7 @@ from repro.errors import (
     ShedError,
 )
 from repro.integrity import policy as _integrity
-from repro.obs.metrics import exponential_buckets, get_registry
+from repro.obs.metrics import ByLabel, exponential_buckets, get_registry
 from repro.resilience import LadderPolicy, ResilientCompressor, RetryPolicy
 from repro.resilience.log import RecoveryLog
 from repro.serve.batcher import Batch, DynamicBatcher, Request
@@ -193,6 +194,7 @@ class CompressionService:
         self._m_depth = reg.gauge(
             "repro_queue_depth_requests", help="requests queued in the batcher"
         )
+        self._h_requests = ByLabel(self._m_requests, "platform")
         # Overload instruments are only registered when the machinery is
         # on, so a plain service leaves the registry dump untouched.
         self._m_shed = self._m_degraded = self._m_hedges = None
@@ -216,6 +218,24 @@ class CompressionService:
                     )
                     self._breaker_cursor[platform] = 0
 
+    # Per-request series handles, bound on first use so an idle service
+    # (a fleet provisions many) binds nothing.
+    @cached_property
+    def _h_latency(self):
+        return self._m_latency.labels()
+
+    @cached_property
+    def _h_batch_size(self):
+        return self._m_batch_size.labels()
+
+    @cached_property
+    def _h_pad(self):
+        return self._m_pad.labels()
+
+    @cached_property
+    def _h_depth(self):
+        return self._m_depth.labels()
+
     # ------------------------------------------------------------------
     def process(self, requests) -> tuple[list[Response], ServerStats]:
         """Replay a trace; returns per-request responses plus statistics."""
@@ -230,7 +250,7 @@ class CompressionService:
             max_depth = max(max_depth, self._ingest(req, responses))
         for batch in self.batcher.flush():
             self._dispatch(batch, responses)
-        self._m_depth.set(self.batcher.depth)
+        self._h_depth.set(self.batcher.depth)
         return responses, self._snapshot(reqs, responses, max_depth)
 
     def submit(self, request: Request, ctx=None) -> list[Response]:
@@ -257,7 +277,7 @@ class CompressionService:
         responses: list[Response] = []
         for batch in self.batcher.due(now):
             self._dispatch(batch, responses)
-        self._m_depth.set(self.batcher.depth)
+        self._h_depth.set(self.batcher.depth)
         return responses
 
     def drain(self) -> list[Response]:
@@ -273,7 +293,7 @@ class CompressionService:
         responses: list[Response] = []
         for batch in self.batcher.flush():
             self._dispatch(batch, responses)
-        self._m_depth.set(self.batcher.depth)
+        self._h_depth.set(self.batcher.depth)
         return responses
 
     @property
@@ -304,12 +324,12 @@ class CompressionService:
             admitted = self._admit(req)
             if admitted is None:
                 depth = self.batcher.depth
-                self._m_depth.set(depth)
+                self._h_depth.set(depth)
                 return depth
             req = admitted
         full = self.batcher.add(req)
         depth = self.batcher.depth
-        self._m_depth.set(depth)
+        self._h_depth.set(depth)
         if full is not None:
             self._dispatch(full, responses)
         return depth
@@ -431,7 +451,7 @@ class CompressionService:
     # ------------------------------------------------------------------
     def _ladder_policy(self, now: float | None = None, keep: str | None = None) -> LadderPolicy:
         base = self.ladder
-        excluded = set(base.exclude_platforms) | self._dead
+        excluded = set(self._dead)
         if now is not None and self.breakers:
             # Route the fallback rung around platforms whose breaker is
             # open — except the one actually dispatched to (if every
@@ -441,14 +461,9 @@ class CompressionService:
                 for p, b in self.breakers.items()
                 if p != keep and not b.would_allow(now)
             }
-        return LadderPolicy(
-            allow_ps=base.allow_ps,
-            ps_factors=base.ps_factors,
-            allow_shard=base.allow_shard,
-            allow_fallback=base.allow_fallback,
-            fallback_platforms=base.fallback_platforms,
-            exclude_platforms=tuple(excluded),
-        )
+        if excluded.issubset(base.exclude_platforms):
+            return base
+        return replace(base, exclude_platforms=(*base.exclude_platforms, *excluded))
 
     def _estimate_batch_seconds(self, platform: str, key) -> float:
         """Modelled seconds for one ``max_batch`` run on ``platform``.
@@ -519,8 +534,8 @@ class CompressionService:
                     return  # nothing left to dispatch — no padded run at all
                 batch = Batch(key=batch.key, requests=live, formed_at=now)
         key = batch.key
-        self._m_batch_size.observe(len(batch))
-        self._m_pad.inc(self.max_batch - len(batch))
+        self._h_batch_size.observe(len(batch))
+        self._h_pad.inc(self.max_batch - len(batch))
         permit = None
         if self.breakers:
             permit = lambda w: self.breakers[w.platform].allows(now)  # noqa: E731
@@ -648,8 +663,8 @@ class CompressionService:
             )
             responses.append(response)
             self._latency.add(response.latency_s)
-            self._m_requests.inc(platform=response.platform)
-            self._m_latency.observe(response.latency_s)
+            self._h_requests[response.platform].inc()
+            self._h_latency.observe(response.latency_s)
             if self.slo is not None:
                 self.slo.observe_outcome(
                     response.finish, latency=response.latency_s, outcome="served",

@@ -47,14 +47,27 @@ class TestOneShot:
         ref = DCTChopCompressor(32, cf=4).roundtrip(x).numpy()
         np.testing.assert_allclose(rec.numpy(), ref, atol=1e-5)
 
-    def test_compressor_cache_reused(self, rng):
+    def test_compressor_cache_reused(self, rng, monkeypatch):
+        # Independent of how full the 128-entry LRU already is: the second
+        # call gets the first call's interned instance and builds nothing.
         x = rng.standard_normal((1, 16, 16)).astype(np.float32)
         from repro.core import api
 
-        before = len(api._cache)
+        served = []
+        real = api.make_compressor
+
+        def spy(*args, **kwargs):
+            served.append(real(*args, **kwargs))
+            return served[-1]
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("interned compressor rebuilt")
+
+        monkeypatch.setattr(api, "make_compressor", spy)
         compress(x, cf=5)
+        monkeypatch.setattr(api, "DCTChopCompressor", rebuild)
         compress(x, cf=5)
-        assert len(api._cache) == before + 1
+        assert len(served) == 2 and served[1] is served[0]
 
     def test_sg_method(self, rng):
         x = rng.standard_normal((1, 16, 16)).astype(np.float32)
