@@ -174,6 +174,15 @@ class RunResult:
         return self.timing.total
 
 
+def _fits(shapes, compiled) -> bool:
+    """``shapes`` equal ``compiled`` except for leading dims in 1..compiled."""
+    return len(shapes) == len(compiled) and all(
+        got == want
+        or (len(got) == len(want) > 0 and got[1:] == want[1:] and 0 < got[0] <= want[0])
+        for got, want in zip(shapes, compiled)
+    )
+
+
 @dataclass
 class CompiledProgram:
     """A shape-frozen program bound to one accelerator."""
@@ -213,14 +222,20 @@ class CompiledProgram:
     def run(self, *inputs) -> RunResult:
         """Execute numerically and report modelled timing.
 
-        Input shapes must match the compile-time shapes — all four
-        accelerator toolchains fix tensor sizes at compile time.
+        All four accelerator toolchains fix tensor sizes at compile time,
+        so the modelled device always runs, and is charged for, the
+        compiled shapes.  The host computes only the rows it is given:
+        each input's leading dimension may be anything from 1 up to the
+        compiled one (the device's padding rows are never computed),
+        and every other dimension must match exactly.  Zero rows, more
+        rows, or any other shape raise :class:`ShapeError`.
         """
         arrays = [x if isinstance(x, Tensor) else Tensor(np.asarray(x)) for x in inputs]
-        if tuple(a.shape for a in arrays) != self.graph.input_shapes:
+        shapes = tuple(a.shape for a in arrays)
+        if not _fits(shapes, self.graph.input_shapes):
             raise ShapeError(
                 f"{self.spec.name}: program compiled for input shapes "
-                f"{self.graph.input_shapes}, got {tuple(a.shape for a in arrays)}"
+                f"{self.graph.input_shapes}, got {shapes}"
             )
         fire_fault("run", platform=self.spec.name)
         start = time.perf_counter()

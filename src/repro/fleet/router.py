@@ -300,11 +300,12 @@ class FleetRouter:
             now = req.arrival
             last_now = now
             self._ordinal = ordinal
-            # Fire every live worker's flush timers first: a worker whose
-            # traffic moved elsewhere still flushes partial batches on
-            # time, and queue depths read true for spill and autoscale.
+            # Fire every due flush timer first: a worker whose traffic
+            # moved elsewhere still flushes partial batches on time, and
+            # queue depths read true for spill and autoscale.  A worker
+            # whose earliest deadline is still ahead has nothing to flush.
             for worker in self.workers.values():
-                if worker.up:
+                if worker.up and worker.service.batcher.next_due <= now:
                     self._collect(worker, worker.service.poll(now))
             if self.fault_plan is not None:
                 for fault in self.fault_plan.due(ordinal):

@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.dct import DEFAULT_BLOCK
-from repro.errors import DeviceLostError
+from repro.errors import DeviceLostError, ShapeError
 from repro.resilience.ladder import LadderPolicy, LadderResult, compile_with_ladder
 from repro.resilience.log import RecoveryLog
 from repro.resilience.retry import RetryPolicy, run_with_recovery
@@ -186,25 +186,31 @@ class ResilientCompressor:
                 failovers += 1
 
     def _run_sharded(self, result: LadderResult, x: np.ndarray) -> Tensor:
+        """Run the live rows of ``x`` (1 up to ``batch``) on the resolved program.
+
+        A shard rung's devices each own ``batch // n_devices`` rows of
+        the compiled batch; the live rows are cut at those boundaries and
+        a shard with no live rows is not run on the host.
+        """
         n = result.attempt.n_devices
         arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
-        if n == 1:
-            run = run_with_recovery(
-                result.program.run, arr,
-                policy=self.retry, log=self.log, retry_key=self.retry_key,
-                budget=self.retry_budget,
-            )
-            return run.output
-        shards = np.split(arr, n, axis=0)
-        outputs = [
-            run_with_recovery(
-                result.program.run, shard,
+
+        def run(rows: np.ndarray) -> Tensor:
+            return run_with_recovery(
+                result.program.run, rows,
                 policy=self.retry, log=self.log, retry_key=self.retry_key,
                 budget=self.retry_budget,
             ).output
-            for shard in shards
-        ]
-        return Tensor(np.concatenate([o.numpy() for o in outputs], axis=0))
+
+        if n == 1:
+            return run(arr)
+        if not 0 < len(arr) <= self.batch:
+            raise ShapeError(
+                f"{len(arr)} rows for a {n}-device program of batch {self.batch}"
+            )
+        per = self.batch // n
+        outputs = [run(arr[i:i + per]).numpy() for i in range(0, len(arr), per)]
+        return Tensor(np.concatenate(outputs, axis=0))
 
     # ------------------------------------------------------------------
     def compress(self, x) -> Tensor:

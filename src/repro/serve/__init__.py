@@ -7,7 +7,8 @@ key.  This package exploits that for the serving path:
 * :class:`CompiledPlanCache` — bounded LRU of compiled plans (and
   remembered compile failures) keyed on :class:`~repro.accel.PlanKey`.
 * :class:`DynamicBatcher` — coalesces same-key single-image requests
-  into one padded batched run (max-batch / max-wait policy).
+  into one batched run of the padded ``max_batch`` plan (max-batch /
+  max-wait policy); the host computes the live rows only.
 * :class:`Scheduler` — dispatches batches across simulated platform
   instances (least-loaded or fastest-estimated-finish, priced by the
   analytical timing model).

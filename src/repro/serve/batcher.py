@@ -4,11 +4,12 @@ Single-image requests that share a service key — same plane size,
 channel count, and compressor configuration — are coalesced into one
 batched run of the same compiled plan.  A group flushes when it reaches
 ``max_batch`` images or when its oldest request has waited ``max_wait``
-modelled seconds, whichever comes first; the tail batch is zero-padded up
-to ``max_batch`` so every flush reuses the *same* static-shape plan
-(padding is sliced off after the run, and per-image outputs are
-bit-identical to the unbatched path because the compressor treats batch
-entries independently).
+modelled seconds, whichever comes first.  Every flush reuses the *same*
+static-shape ``max_batch`` plan: the modelled device runs (and is
+charged for) the padded shape, while the host computes only the live
+rows (:meth:`Batch.stacked`).  Per-image outputs are bit-identical to
+the unbatched path because the compressor treats batch entries
+independently.
 """
 
 from __future__ import annotations
@@ -63,17 +64,17 @@ class Request:
     block: int = DEFAULT_BLOCK
     deadline: float | None = None      # absolute modelled time, None = no deadline
     tenant: str = "default"            # fleet quota attribution (not part of the key)
+    # Built once here; dataclasses.replace re-runs __post_init__, so a
+    # degraded copy (replace(req, cf=...)) gets its own key.
+    key: ServiceKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.image.ndim != 3:
             raise ShapeError(
                 f"request {self.rid}: expected a (C, H, W) image, got shape {self.image.shape}"
             )
-
-    @property
-    def key(self) -> ServiceKey:
         c, h, w = self.image.shape
-        return ServiceKey(
+        self.key = ServiceKey(
             height=h, width=w, channels=c,
             method=self.method, cf=self.cf, s=self.s, block=self.block,
         )
@@ -90,14 +91,14 @@ class Batch:
     def __len__(self) -> int:
         return len(self.requests)
 
-    def padded(self, batch_size: int) -> np.ndarray:
-        """Stack to ``(batch_size, C, H, W)``, zero-padding the tail."""
-        if len(self.requests) > batch_size:
-            raise ShapeError(
-                f"batch of {len(self.requests)} exceeds plan batch size {batch_size}"
-            )
+    def stacked(self) -> np.ndarray:
+        """The live images as one ``(len(batch), C, H, W)`` float32 array.
+
+        No padding rows: the host computes live rows only, while the
+        modelled device is charged for the padded plan shape.
+        """
         k = self.key
-        out = np.zeros((batch_size, k.channels, k.height, k.width), np.float32)
+        out = np.empty((len(self.requests), k.channels, k.height, k.width), np.float32)
         for i, req in enumerate(self.requests):
             out[i] = req.image
         return out
@@ -108,7 +109,7 @@ class Batch:
         A member is expired when its deadline has already passed at batch
         formation — serving it would only deliver a result the caller has
         stopped waiting for.  The overload layer sheds the expired tail
-        explicitly and dispatches (and zero-pads) the live head only.
+        explicitly and dispatches the live head only.
         """
         live = [r for r in self.requests if r.deadline is None or r.deadline >= now]
         expired = [r for r in self.requests if not (r.deadline is None or r.deadline >= now)]
@@ -168,6 +169,15 @@ class DynamicBatcher:
             raise ConfigError(f"max_wait must be >= 0, got {self.max_wait}")
         if self.max_depth is not None and self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
+
+    @property
+    def next_due(self) -> float:
+        """No group is due before this modelled time (``inf`` when idle).
+
+        May lag low, never high, so ``now < next_due`` proves that
+        :meth:`due` would return nothing.
+        """
+        return self._next_due
 
     # ------------------------------------------------------------------
     def add(self, request: Request) -> Batch | None:

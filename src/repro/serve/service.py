@@ -13,9 +13,10 @@ serving path the ROADMAP's "millions of users" north star needs:
 4. modelled clocks advance by the analytical timing model, producing a
    deterministic :class:`ServerStats` snapshot.
 
-Numerics are real: every batch runs the actual NumPy compressor, and the
-zero-padded tail is sliced off, so per-image outputs are bit-identical to
-the unbatched path.
+Numerics are real: every batch runs the actual NumPy compressor on its
+live rows only, so per-image outputs are bit-identical to the unbatched
+path.  The modelled device still runs, and is charged for, the padded
+``max_batch`` plan every toolchain compiles.
 
 With a :class:`~repro.obs.trace.Tracer` attached, every request yields a
 span tree on the modelled clock::
@@ -131,10 +132,12 @@ class CompressionService:
         if max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
         self.max_batch = max_batch
+        reg = registry if registry is not None else get_registry()
+        self._registry = reg
         self.cache = (
             cache
             if cache is not None
-            else CompiledPlanCache(cache_capacity, negative_ttl=negative_ttl)
+            else CompiledPlanCache(cache_capacity, negative_ttl=negative_ttl, registry=reg)
         )
         self.overload = overload
         self.batcher = DynamicBatcher(
@@ -172,8 +175,6 @@ class CompressionService:
         self.breaker_log: list[tuple[str, str, str, float]] = []
         self.breakers: dict[str, CircuitBreaker] = {}
         self._breaker_cursor: dict[str, int] = {}
-        reg = registry if registry is not None else get_registry()
-        self._registry = reg
         self._m_requests = reg.counter(
             "repro_requests_total", help="requests served, by platform"
         )
@@ -269,10 +270,10 @@ class CompressionService:
         """Fire flush timers at modelled time ``now`` without new work.
 
         In the single-service replay the next arrival drives the clock,
-        so timers fire inside :meth:`submit`; a fleet router polls idle
-        workers instead, so a worker whose traffic moved elsewhere still
-        flushes its partial batches on time instead of holding them until
-        drain.
+        so timers fire inside :meth:`submit`; a fleet router polls each
+        worker whose ``batcher.next_due`` has passed instead, so a worker
+        whose traffic moved elsewhere still flushes its partial batches on
+        time instead of holding them until drain.
         """
         responses: list[Response] = []
         for batch in self.batcher.due(now):
@@ -531,10 +532,12 @@ class CompressionService:
                 for r in expired:
                     self._shed(r, "expired", now, deadline=r.deadline)
                 if not live:
-                    return  # nothing left to dispatch — no padded run at all
+                    return  # nothing left to dispatch — no run at all
                 batch = Batch(key=batch.key, requests=live, formed_at=now)
         key = batch.key
         self._h_batch_size.observe(len(batch))
+        # The modelled device runs the padded max_batch plan (and is
+        # charged for it below); the host computes the live rows only.
         self._h_pad.inc(self.max_batch - len(batch))
         permit = None
         if self.breakers:
@@ -577,7 +580,7 @@ class CompressionService:
             ]
             self.log.bind(self.tracer, member_tids, time=now)
         try:
-            out = rc.compress(batch.padded(self.max_batch))
+            out = rc.compress(batch.stacked())
             resolved = rc.compile("compress")
         except (CompileError, DeviceError) as exc:
             self._note_dead(rc)

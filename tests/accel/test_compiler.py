@@ -128,6 +128,35 @@ class TestStaticShapes:
         with pytest.raises(ShapeError):
             prog.run(rng.standard_normal((20, 3, 32, 32)).astype(np.float32))
 
+    def test_run_accepts_one_up_to_compiled_rows(self, rng):
+        # The host computes only the live rows; the device is still
+        # charged for the compiled batch.
+        comp = DCTChopCompressor(32, cf=4)
+        prog = compile_program(comp.compress, workload(32, batch=4), "cs2")
+        x = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
+        for rows in range(1, 5):
+            result = prog.run(x[:rows])
+            assert result.output.shape == (rows, 3, 16, 16)
+            assert np.array_equal(result.output.numpy(), comp.compress(x[:rows]).numpy())
+            assert result.timing.total == prog.estimated_time()
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (0, 3, 32, 32),       # zero rows
+            (5, 3, 32, 32),       # more rows than compiled
+            (2, 1, 32, 32),       # another channel count
+            (2, 3, 32, 16),       # another plane shape
+            (3, 32, 32),          # another rank
+            (1, 2, 3, 32, 32),
+        ],
+    )
+    def test_run_rejects_any_other_shape(self, shape):
+        comp = DCTChopCompressor(32, cf=4)
+        prog = compile_program(comp.compress, workload(32, batch=4), "cs2")
+        with pytest.raises(ShapeError):
+            prog.run(np.zeros(shape, np.float32))
+
     def test_estimated_time_positive(self):
         comp = DCTChopCompressor(32, cf=4)
         prog = compile_program(comp.compress, workload(32), "ipu")

@@ -2,6 +2,9 @@
 
 The fixtures under ``golden/`` were rendered before the metric hot path
 moved to bound handles and ``bisect`` buckets; the dumps must not move.
+The fleet fixture was regenerated once since, when each service began
+passing its registry to the plan cache it builds: that added the
+``repro_plan_cache_*`` series and changed no other line.
 Each demo runs in a fresh interpreter: plan-cache instance labels
 (``cache="c0"``) and the process registry are per process.  The
 serve-demo flags match the CI observability step, which diffs the same

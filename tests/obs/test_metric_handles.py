@@ -179,6 +179,21 @@ def test_cached_program_reports_to_the_swapped_in_registry():
     assert seconds.value(platform="cpu") == program.estimated_time()
 
 
+def test_service_plan_cache_reports_to_the_service_registry():
+    own, process = MetricsRegistry(), MetricsRegistry()
+    previous = set_registry(process)
+    try:
+        service = CompressionService(("cpu",), max_batch=4, registry=own)
+        service.process(synthetic_trace(20, seed=0))
+    finally:
+        set_registry(previous)
+    label = service.cache._label
+    assert own.counter("repro_plan_cache_misses_total").value(cache=label) == service.cache.misses
+    assert service.cache.misses > 0 and service.cache.hits > 0
+    assert "repro_plan_cache_" in own.render_prometheus()
+    assert "repro_plan_cache_" not in process.render_prometheus()
+
+
 def test_serving_resolves_series_not_requests(monkeypatch):
     """400 requests cost label sorts and registry lookups per series only.
 

@@ -9,7 +9,9 @@ rung recorded in the RecoveryLog.
 import numpy as np
 import pytest
 
-from repro.errors import CompileError, OutOfMemoryError
+from repro.accel.compiler import CompiledProgram
+from repro.core import make_compressor
+from repro.errors import CompileError, OutOfMemoryError, ShapeError
 from repro.harness.timing import measure
 from repro.resilience import (
     LadderPolicy,
@@ -160,3 +162,42 @@ class TestResilientCompressorLadder:
 
         ref = make_compressor(64, cf=4).compress(x)
         np.testing.assert_allclose(y.numpy(), ref.numpy(), atol=1e-4)
+
+
+class TestShardLiveRows:
+    """A shard rung runs only the shards that hold live rows."""
+
+    # GroqChip at batch 3000 overflows its on-chip schedule; with PS and
+    # fallback off only the shard rung (8 cards, 375 rows each) fits.
+    POLICY = LadderPolicy(allow_ps=False, allow_fallback=False)
+
+    def _compressor(self):
+        return ResilientCompressor(
+            16, platform="groq", batch=3000, channels=1, ladder=self.POLICY
+        )
+
+    def test_partial_batch_runs_only_live_shards(self, rng, monkeypatch):
+        shapes = []
+        run = CompiledProgram.run
+
+        def spy(self, *inputs):
+            shapes.append(inputs[0].shape)
+            return run(self, *inputs)
+
+        monkeypatch.setattr(CompiledProgram, "run", spy)
+        x = rng.standard_normal((2 * 375 + 3, 1, 16, 16)).astype(np.float32)
+        rc = self._compressor()
+        y = rc.compress(x)
+        assert (rc.resolved.rung, rc.resolved.n_devices) == ("shard", 8)
+        # Cut at the compiled shard boundaries; shards 4..8 hold no live row.
+        assert shapes == [(375, 1, 16, 16), (375, 1, 16, 16), (3, 1, 16, 16)]
+        oracle = make_compressor(16, fast=False)
+        for i in (0, 374, 375, 749, 750, 752):
+            assert np.array_equal(y.numpy()[i], oracle.compress(x[i : i + 1]).numpy()[0])
+        assert np.array_equal(y.numpy(), make_compressor(16).compress(x).numpy())
+
+    @pytest.mark.parametrize("rows", [0, 3001])
+    def test_shard_rung_rejects_zero_or_extra_rows(self, rows):
+        rc = self._compressor()
+        with pytest.raises(ShapeError):
+            rc.compress(np.zeros((rows, 1, 16, 16), np.float32))

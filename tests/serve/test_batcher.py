@@ -1,4 +1,6 @@
-"""DynamicBatcher: coalescing, flush policies, tail padding."""
+"""DynamicBatcher: coalescing, flush policies, live-row stacking."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -74,24 +76,24 @@ class TestDeadlines:
         assert b.depth == 0 and b.flush() == []
 
 
-class TestPadding:
-    def test_tail_batch_zero_pads(self):
+class TestStacking:
+    def test_tail_batch_stacks_live_rows_only(self):
         b = DynamicBatcher(max_batch=4)
         b.add(req(0))
         b.add(req(1))
         (batch,) = b.flush()
-        padded = batch.padded(4)
-        assert padded.shape == (4, 1, 16, 16)
-        assert np.array_equal(padded[0], batch.requests[0].image)
-        assert np.array_equal(padded[1], batch.requests[1].image)
-        assert not padded[2:].any()
+        stacked = batch.stacked()
+        assert stacked.shape == (2, 1, 16, 16)
+        assert stacked.dtype == np.float32
+        assert np.array_equal(stacked[0], batch.requests[0].image)
+        assert np.array_equal(stacked[1], batch.requests[1].image)
 
-    def test_padding_rejects_overflow(self):
+    def test_stacking_casts_to_float32(self):
+        image = np.arange(16 * 16, dtype=np.float64).reshape(1, 16, 16) / 7
         b = DynamicBatcher(max_batch=4)
-        b.add(req(0))
+        b.add(Request(rid=0, image=image))
         (batch,) = b.flush()
-        with pytest.raises(ShapeError):
-            batch.padded(0)
+        assert np.array_equal(batch.stacked()[0], image.astype(np.float32))
 
 
 class TestValidation:
@@ -108,6 +110,21 @@ class TestValidation:
             Request(rid=0, image=np.zeros((16, 16), np.float32))
 
 
+class TestRequestKey:
+    def test_key_is_built_once(self):
+        r = req(0, channels=3, res=16, cf=4)
+        assert r.key is r.key
+        assert (r.key.channels, r.key.height, r.key.width, r.key.cf) == (3, 16, 16, 4)
+
+    def test_replace_rebuilds_the_key(self):
+        # The overload layer's degrade path re-admits replace(req, cf=...).
+        r = req(0, cf=4)
+        degraded = dataclasses.replace(r, cf=2)
+        assert degraded.key.cf == 2
+        assert r.key.cf == 4
+        assert degraded.key == dataclasses.replace(r.key, cf=2)
+
+
 class TestEdgeCases:
     def test_due_exactly_at_max_wait_deadline_flushes(self):
         # Boundary: the flush timer fires *at* the deadline, not after it.
@@ -117,9 +134,9 @@ class TestEdgeCases:
         assert batch.formed_at == 0.01
         assert b.depth == 0
 
-    def test_tail_padding_after_expired_members_shed(self):
+    def test_stacking_after_expired_members_shed(self):
         # The overload layer rebuilds a batch from its live members only;
-        # padding must cover exactly the survivors, zeros elsewhere.
+        # the stack holds exactly the survivors.
         from repro.serve import Batch
 
         b = DynamicBatcher(max_batch=4, max_wait=0.01)
@@ -131,10 +148,10 @@ class TestEdgeCases:
         assert [r.rid for r in live] == [0, 2]
         assert [r.rid for r in expired] == [1]
         rebuilt = Batch(key=batch.key, requests=live, formed_at=batch.formed_at)
-        padded = rebuilt.padded(4)
-        assert np.array_equal(padded[0], live[0].image)
-        assert np.array_equal(padded[1], live[1].image)
-        assert not padded[2:].any()                  # expired member never dispatched
+        stacked = rebuilt.stacked()
+        assert stacked.shape == (2, 1, 16, 16)       # expired member never dispatched
+        assert np.array_equal(stacked[0], live[0].image)
+        assert np.array_equal(stacked[1], live[1].image)
 
     def test_group_whose_every_member_expires(self):
         b = DynamicBatcher(max_batch=8, max_wait=0.01)

@@ -5,10 +5,14 @@ depth and the earliest deadline instead of scanning every queued member
 on each call.  :class:`ScanBatcher` is the scanning implementation it
 replaced; random ``add``/``due``/``flush``/``drain_pending`` sequences,
 out-of-order arrivals included, must produce the same batches (members,
-``formed_at``, order), ``depth`` and ``at_capacity`` from both.
+``formed_at``, order), ``depth`` and ``at_capacity`` from both, and
+the batcher's ``next_due`` may lag low but never high: the fleet router
+skips polling a worker whose ``next_due`` is still ahead.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -68,6 +72,13 @@ class ScanBatcher:
     def at_capacity(self) -> bool:
         return self.max_depth is not None and self.depth >= self.max_depth
 
+    @property
+    def next_due(self) -> float:
+        return min(
+            (min(r.arrival for r in g) + self.max_wait for g in self._pending.values()),
+            default=math.inf,
+        )
+
 
 _KEYS = ((8, 2), (8, 4), (16, 2), (16, 4))      # (resolution, cf)
 _IMAGES = {res: np.zeros((1, res, res), np.float32) for res, _ in _KEYS}
@@ -121,6 +132,7 @@ def test_matches_scan_reference(ops, max_batch, max_wait, max_depth):
         assert _view(got) == _view(want), op
         assert fast.depth == ref.depth
         assert fast.at_capacity == ref.at_capacity
+        assert fast.next_due <= ref.next_due
     assert _view(fast.flush()) == _view(ref.flush())
     assert fast.depth == 0
 

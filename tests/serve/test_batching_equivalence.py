@@ -2,8 +2,8 @@
 
 Compressing N images one-by-one and as one dynamically batched run must
 produce bit-identical per-image outputs — including images served from
-the zero-padded tail batch — across chop factors and PS subdivision
-factors.  This is the invariant that makes the serving layer transparent
+a partial tail batch, which the device pads and the host computes
+unpadded — across chop factors and PS subdivision factors.  This is the invariant that makes the serving layer transparent
 to callers.
 """
 
