@@ -17,8 +17,6 @@ side resolved to, so the compressed representation always matches.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.core.dct import DEFAULT_BLOCK
@@ -49,20 +47,13 @@ class ResilientCompressor:
         log: RecoveryLog | None = None,
         max_failovers: int = 3,
         plan_cache=None,
-        preresolved: LadderResult | None = None,
         retry_key: int = 0,
         retry_budget=None,
     ) -> None:
-        """``plan_cache`` and ``preresolved`` avoid redundant compiles.
-
-        ``plan_cache`` (a :class:`~repro.serve.plan_cache.CompiledPlanCache`
-        or anything with its ``get``/``put`` interface) is threaded through
-        every ladder walk, so a freshly constructed compressor whose
-        configuration already resolved elsewhere replays the walk from
-        cached plans instead of re-tracing.  ``preresolved`` goes further:
-        it seeds the compress side with an already-resolved
-        :class:`LadderResult` (the caller must have produced it for the
-        same shape/configuration), so even the ladder walk is skipped.
+        """``plan_cache`` (a :class:`~repro.serve.plan_cache.CompiledPlanCache`)
+        is threaded through every ladder walk, so a freshly constructed
+        compressor whose configuration already resolved elsewhere replays
+        the walk from cached plans instead of re-tracing.
 
         ``retry_key`` selects the jitter stream for retry backoff (the
         serving layer passes a per-request id so concurrent traces
@@ -92,8 +83,6 @@ class ResilientCompressor:
         self.retry_budget = retry_budget
         self._dead: set[str] = set()
         self._compiled: dict[str, LadderResult] = {}
-        if preresolved is not None:
-            self._compiled["compress"] = preresolved
 
     # ------------------------------------------------------------------
     @property
@@ -101,17 +90,6 @@ class ResilientCompressor:
         """The attempt the compress side resolved to (``None`` before compile)."""
         result = self._compiled.get("compress")
         return result.attempt if result else None
-
-    def _policy(self, *, pinned: bool) -> LadderPolicy:
-        base = self.ladder
-        allow_ps = base.allow_ps and not pinned
-        if allow_ps == base.allow_ps and self._dead.issubset(base.exclude_platforms):
-            return base
-        return replace(
-            base,
-            allow_ps=allow_ps,
-            exclude_platforms=(*base.exclude_platforms, *self._dead),
-        )
 
     def _ensure(self, direction: str) -> LadderResult:
         result = self._compiled.get(direction)
@@ -147,7 +125,7 @@ class ResilientCompressor:
             batch=self.batch,
             channels=self.channels,
             direction=direction,
-            policy=self._policy(pinned=pinned),
+            policy=self.ladder.excluding(self._dead, ps=pinned),
             log=self.log,
             cache=self.plan_cache,
         )

@@ -23,7 +23,7 @@ Every attempt — failed or successful — is recorded in a
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,6 +59,16 @@ class LadderPolicy:
         object.__setattr__(self, "fallback_platforms", tuple(self.fallback_platforms))
         object.__setattr__(
             self, "exclude_platforms", tuple(sorted(set(self.exclude_platforms)))
+        )
+
+    def excluding(self, platforms, *, ps: bool = False) -> "LadderPolicy":
+        """This policy minus ``platforms`` (and the PS rung when ``ps``);
+        ``self`` when nothing changes, so the attempt-list memo keeps hitting."""
+        allow_ps = self.allow_ps and not ps
+        if allow_ps == self.allow_ps and set(platforms).issubset(self.exclude_platforms):
+            return self
+        return replace(
+            self, allow_ps=allow_ps, exclude_platforms=(*self.exclude_platforms, *platforms)
         )
 
 
@@ -118,6 +128,25 @@ def _attempts(
     return tuple(a for a in out if a.platform not in policy.exclude_platforms)
 
 
+def compile_plan(
+    compressor, shape, platform: str, *, method: str, cf: int, s: int, block: int,
+    direction: str, cache=None,
+) -> CompiledProgram:
+    """Compile ``compressor()``'s ``direction`` program at example input ``shape``,
+    through ``cache.get_or_compile`` when a cache is given (``compressor``
+    is only called on a miss); a cached rejection raises a fresh error."""
+    key = PlanKey.for_compressor(
+        platform, shape, method=method, cf=cf, s=s, block=block, direction=direction
+    )
+
+    def build() -> CompiledProgram:
+        fn = getattr(compressor(), direction)
+        name = f"{method}-{direction}-{platform}"
+        return compile_program(fn, np.zeros(shape, np.float32), platform, name=name, key=key)
+
+    return build() if cache is None else cache.get_or_compile(key, build)
+
+
 def compile_with_ladder(
     height: int,
     width: int | None = None,
@@ -138,82 +167,52 @@ def compile_with_ladder(
 
     Returns a :class:`LadderResult` whose ``attempt`` records the rung
     that succeeded; raises the last :class:`CompileError` if every rung
-    is exhausted.
+    is exhausted.  A PS rung whose chunks are not multiples of ``block``
+    cannot apply and is skipped.
 
     ``cache`` is an optional
-    :class:`~repro.serve.plan_cache.CompiledPlanCache` (or anything with
-    its ``get``/``put`` interface).  Each attempt consults it by
-    :class:`~repro.accel.compiler.PlanKey` before tracing: cached plans
-    skip compilation entirely, and cached *failures* skip the doomed
-    re-trace — so a ladder walk that already resolved once replays in
-    O(attempts) dictionary lookups.
+    :class:`~repro.serve.plan_cache.CompiledPlanCache` that every attempt
+    compiles through (:func:`compile_plan`): cached plans skip
+    compilation, and cached *failures* skip the doomed re-trace — so a
+    walk that already resolved once replays in O(attempts) lookups.
     """
     if direction not in ("compress", "decompress"):
         raise ConfigError(f"direction must be compress|decompress, got {direction!r}")
+    width = width if width is not None else height
     policy = policy if policy is not None else LadderPolicy()
     # Explicit None check: an empty RecoveryLog is falsy (it has __len__).
     log = log if log is not None else RecoveryLog()
     failures: list[tuple[Attempt, CompileError]] = []
-    last_exc: CompileError | None = None
 
     for attempt in _attempts(platform, method, s, batch, policy):
-        if attempt.n_devices > 1 and batch % attempt.n_devices:
+        # Shard counts divide ``batch`` by construction (shard_counts); a
+        # PS split the ladder picked must still cut block-multiple chunks.
+        split = attempt.s * block if attempt.method == "ps" and attempt.rung != "original" else 1
+        if height % split or width % split:
             continue
-        shard = batch // attempt.n_devices
         comp = make_compressor(
             height, width, method=attempt.method, cf=cf, s=attempt.s, block=block
         )
-        in_shape = (shard, channels, height, width if width is not None else height)
-        if direction == "compress":
-            fn, example_shape = comp.compress, in_shape
-        else:
-            fn, example_shape = comp.decompress, comp.compressed_shape(in_shape)
-        key = PlanKey.for_compressor(
-            attempt.platform,
-            example_shape,
-            method=attempt.method,
-            cf=cf,
-            s=attempt.s,
-            block=block,
-            direction=direction,
-        )
-        program = cache.get(key) if cache is not None else None
-        if isinstance(program, CompileError):
-            # Deterministic toolchain: a remembered rejection needs no re-trace.
-            failures.append((attempt, program))
-            last_exc = program
+        in_shape = (batch // attempt.n_devices, channels, height, width)
+        try:
+            program = compile_plan(
+                lambda: comp,
+                in_shape if direction == "compress" else comp.compressed_shape(in_shape),
+                attempt.platform, method=attempt.method, cf=cf, s=attempt.s, block=block,
+                direction=direction, cache=cache,
+            )
+        except CompileError as exc:
+            # Only a rejection the cache served is chained to its stored entry.
+            cached = ", cached" if exc.__cause__ is not None else ""
+            failures.append((attempt, exc))
             log.record(
                 "fault",
-                f"compile failed, cached ({attempt.describe()}): {program}",
+                f"compile failed{cached} ({attempt.describe()}): {exc}",
                 rung=attempt.rung,
                 platform=attempt.platform,
-                reason=program.reason or "",
+                reason=exc.reason or "",
             )
             continue
-        if program is None:
-            try:
-                program = compile_program(
-                    fn,
-                    np.zeros(example_shape, np.float32),
-                    attempt.platform,
-                    name=f"{attempt.method}-{direction}-{attempt.platform}",
-                    key=key,
-                )
-            except CompileError as exc:
-                if cache is not None:
-                    cache.put(key, exc)
-                failures.append((attempt, exc))
-                last_exc = exc
-                log.record(
-                    "fault",
-                    f"compile failed ({attempt.describe()}): {exc}",
-                    rung=attempt.rung,
-                    platform=attempt.platform,
-                    reason=exc.reason or "",
-                )
-                continue
-            if cache is not None:
-                cache.put(key, program)
         if attempt.rung != "original":
             log.record(
                 "rung",
@@ -228,5 +227,5 @@ def compile_with_ladder(
         return LadderResult(program=program, comp=comp, attempt=attempt, failures=failures)
 
     log.record("gave_up", f"all {len(failures)} ladder attempts failed")
-    assert last_exc is not None
-    raise last_exc
+    assert failures
+    raise failures[-1][1]

@@ -55,7 +55,6 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.accel.compiler import PlanKey, compile_program
 from repro.core.api import make_compressor
 from repro.core.dct import DEFAULT_BLOCK
 from repro.errors import (
@@ -69,6 +68,7 @@ from repro.errors import (
 from repro.integrity import policy as _integrity
 from repro.obs.metrics import ByLabel, exponential_buckets, get_registry
 from repro.resilience import LadderPolicy, ResilientCompressor, RetryPolicy
+from repro.resilience.ladder import compile_plan
 from repro.resilience.log import RecoveryLog
 from repro.serve.batcher import Batch, DynamicBatcher, Request
 from repro.serve.overload import CircuitBreaker, OverloadPolicy, ShedRequest
@@ -249,9 +249,7 @@ class CompressionService:
         max_depth = 0
         for req in reqs:
             max_depth = max(max_depth, self._ingest(req, responses))
-        for batch in self.batcher.flush():
-            self._dispatch(batch, responses)
-        self._h_depth.set(self.batcher.depth)
+        self._dispatch_all(self.batcher.flush(), responses)
         return responses, self._snapshot(reqs, responses, max_depth)
 
     def submit(self, request: Request, ctx=None) -> list[Response]:
@@ -276,9 +274,7 @@ class CompressionService:
         time instead of holding them until drain.
         """
         responses: list[Response] = []
-        for batch in self.batcher.due(now):
-            self._dispatch(batch, responses)
-        self._h_depth.set(self.batcher.depth)
+        self._dispatch_all(self.batcher.due(now), responses)
         return responses
 
     def drain(self) -> list[Response]:
@@ -292,9 +288,7 @@ class CompressionService:
         """
         self._draining = True          # before the flush: deadline expiry applies
         responses: list[Response] = []
-        for batch in self.batcher.flush():
-            self._dispatch(batch, responses)
-        self._h_depth.set(self.batcher.depth)
+        self._dispatch_all(self.batcher.flush(), responses)
         return responses
 
     @property
@@ -322,17 +316,16 @@ class CompressionService:
         for batch in self.batcher.due(req.arrival):
             self._dispatch(batch, responses)
         if self.overload is not None or self._draining:
-            admitted = self._admit(req)
-            if admitted is None:
-                depth = self.batcher.depth
-                self._h_depth.set(depth)
-                return depth
-            req = admitted
-        full = self.batcher.add(req)
+            req = self._admit(req)
+        full = None if req is None else self.batcher.add(req)
+        return self._dispatch_all(() if full is None else (full,), responses)
+
+    def _dispatch_all(self, batches, responses: list[Response]) -> int:
+        """Dispatch every batch in order, then publish and return the queue depth."""
+        for batch in batches:
+            self._dispatch(batch, responses)
         depth = self.batcher.depth
         self._h_depth.set(depth)
-        if full is not None:
-            self._dispatch(full, responses)
         return depth
 
     # ------------------------------------------------------------------
@@ -368,17 +361,9 @@ class CompressionService:
                 if fits:
                     self.degraded_rids.add(req.rid)
                     self._m_degraded.inc()
-                    if self.tracer is not None:
-                        tid = self._trace_ids.get(req.rid)
-                        if tid is not None:
-                            self.tracer.record_event(
-                                tid,
-                                "overload.degrade",
-                                now,
-                                rid=req.rid,
-                                cf_from=req.cf,
-                                cf_to=cf,
-                            )
+                    self._trace_event(
+                        (req,), "overload.degrade", now, rid=req.rid, cf_from=req.cf, cf_to=cf
+                    )
                     return candidate
         return self._shed(req, "deadline", now, predicted=predicted, deadline=deadline)
 
@@ -413,12 +398,7 @@ class CompressionService:
                 now, outcome="shed", tenant=req.tenant, worker=self.slo_worker,
                 reason=reason,
             )
-        if self.tracer is not None:
-            tid = self._trace_ids.get(req.rid)
-            if tid is not None:
-                self.tracer.record_event(
-                    tid, "overload.shed", now, rid=req.rid, reason=reason
-                )
+        self._trace_event((req,), "overload.shed", now, rid=req.rid, reason=reason)
         return None
 
     def _predict_finish(self, req: Request, now: float) -> float:
@@ -441,30 +421,17 @@ class CompressionService:
             est = self._estimate_batch_seconds(platform, key)
             if not math.isfinite(est):
                 continue
-            earliest = min(
-                max(w.busy_until, now)
-                for w in self.scheduler.alive()
-                if w.platform == platform
-            )
+            earliest = max(self._worker_for(platform, now).busy_until, now)
             best = min(best, max(flush_at, earliest) + est)
         return best
 
     # ------------------------------------------------------------------
-    def _ladder_policy(self, now: float | None = None, keep: str | None = None) -> LadderPolicy:
-        base = self.ladder
-        excluded = set(self._dead)
-        if now is not None and self.breakers:
-            # Route the fallback rung around platforms whose breaker is
-            # open — except the one actually dispatched to (if every
-            # breaker is open, the forced probe must stay compilable).
-            excluded |= {
-                p
-                for p, b in self.breakers.items()
-                if p != keep and not b.would_allow(now)
-            }
-        if excluded.issubset(base.exclude_platforms):
-            return base
-        return replace(base, exclude_platforms=(*base.exclude_platforms, *excluded))
+    def _ladder_policy(self, now: float, keep: str) -> LadderPolicy:
+        # Route the fallback rung around platforms whose breaker is open —
+        # except the one actually dispatched to (if every breaker is open,
+        # the forced probe must stay compilable).
+        sick = {p for p, b in self.breakers.items() if p != keep and not b.would_allow(now)}
+        return self.ladder.excluding(self._dead | sick)
 
     def _estimate_batch_seconds(self, platform: str, key) -> float:
         """Modelled seconds for one ``max_batch`` run on ``platform``.
@@ -474,34 +441,25 @@ class CompressionService:
         same cache execution reads from.  ``inf`` when the platform's
         toolchain rejects the plan.
         """
-        shape = (self.max_batch, key.channels, key.height, key.width)
-        plan_key = PlanKey.for_compressor(
-            platform, shape,
-            method=key.method, cf=key.cf, s=key.s, block=key.block, direction="compress",
-        )
+        method, cf, s, block = key.method, key.cf, key.s, key.block
         try:
-            program = self.cache.get_or_compile(
-                plan_key,
-                lambda: compile_program(
-                    make_compressor(
-                        key.height, key.width,
-                        method=key.method, cf=key.cf, s=key.s, block=key.block,
-                    ).compress,
-                    np.zeros(shape, np.float32),
-                    platform,
-                    name=f"{key.method}-compress-{platform}",
-                    key=plan_key,
+            program = compile_plan(
+                lambda: make_compressor(
+                    key.height, key.width, method=method, cf=cf, s=s, block=block
                 ),
+                (self.max_batch, key.channels, key.height, key.width), platform,
+                method=method, cf=cf, s=s, block=block, direction="compress", cache=self.cache,
             )
         except CompileError:
             return math.inf
         return program.estimated_time()
 
     def _worker_for(self, platform: str, now: float) -> PlatformWorker | None:
-        candidates = [w for w in self.scheduler.alive() if w.platform == platform]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda w: (max(w.busy_until, now), w.name))
+        return min(
+            (w for w in self.scheduler.alive() if w.platform == platform),
+            key=lambda w: (max(w.busy_until, now), w.name),
+            default=None,
+        )
 
     def _pick_hedge(
         self, primary: PlatformWorker, now: float, key
@@ -637,18 +595,10 @@ class CompressionService:
                 )
                 winner = exec_worker
             self._m_hedges.inc(outcome="win" if win else "loss")
-            if self.tracer is not None:
-                for r in batch.requests:
-                    tid = self._trace_ids.get(r.rid)
-                    if tid is not None:
-                        self.tracer.record_event(
-                            tid,
-                            "overload.hedge",
-                            now,
-                            primary=exec_worker.platform,
-                            hedge=alt_worker.platform,
-                            winner=winner.platform,
-                        )
+            self._trace_event(
+                batch.requests, "overload.hedge", now, primary=exec_worker.platform,
+                hedge=alt_worker.platform, winner=winner.platform,
+            )
         else:
             finish = self.scheduler.assign(exec_worker, start, duration)
         arr = out.numpy()
@@ -696,13 +646,7 @@ class CompressionService:
             "repro_sdc_worker_faults_total",
             help="guard detections attributed to dispatches, by worker",
         ).inc(delta, worker=self.slo_worker or "service")
-        if self.tracer is not None:
-            for r in batch.requests:
-                tid = self._trace_ids.get(r.rid)
-                if tid is not None:
-                    self.tracer.record_event(
-                        tid, "integrity.fault", now, detected=delta
-                    )
+        self._trace_event(batch.requests, "integrity.fault", now, detected=delta)
 
     # ------------------------------------------------------------------
     # Circuit-breaker feedback: retry/fault outcomes logged by the
@@ -753,17 +697,18 @@ class CompressionService:
                 self.breaker_log.append((platform, frm, to, at))
                 if self.slo is not None:
                     self.slo.observe_breaker(at, platform, to)
-                if self.tracer is not None:
-                    for r in batch.requests:
-                        tid = self._trace_ids.get(r.rid)
-                        if tid is not None:
-                            self.tracer.record_event(
-                                tid,
-                                f"breaker.{to}",
-                                at,
-                                platform=platform,
-                                previous=frm,
-                            )
+                self._trace_event(
+                    batch.requests, f"breaker.{to}", at, platform=platform, previous=frm
+                )
+
+    def _trace_event(self, requests, name: str, time: float, **attrs) -> None:
+        """Record one event on the trace of each of ``requests`` that has one."""
+        if self.tracer is None:
+            return
+        for r in requests:
+            tid = self._trace_ids.get(r.rid)
+            if tid is not None:
+                self.tracer.record_event(tid, name, time, **attrs)
 
     def _trace_request(self, response: Response, batch: Batch, resolved, compiles: int) -> None:
         """Emit the request's span tree (see the module docstring taxonomy).
@@ -848,16 +793,9 @@ class CompressionService:
                     batch.formed_at, outcome="failed", tenant=r.tenant,
                     worker=self.slo_worker,
                 )
-            if self.tracer is not None:
-                tid = self._trace_ids.get(r.rid)
-                if tid is not None:
-                    self.tracer.record_event(
-                        tid,
-                        "request.failed",
-                        batch.formed_at,
-                        rid=r.rid,
-                        error=type(exc).__name__,
-                    )
+            self._trace_event(
+                (r,), "request.failed", batch.formed_at, rid=r.rid, error=type(exc).__name__
+            )
 
     def _note_dead(self, rc: ResilientCompressor) -> None:
         fresh = rc.dead_platforms - self._dead
@@ -918,10 +856,9 @@ class CompressionService:
         platform: str | None = None,
     ) -> Tensor:
         arr = x.numpy() if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
-        comp = make_compressor(
-            arr.shape[-2], arr.shape[-1], method=method, cf=cf, s=s, block=block
+        return self._run_one(
+            arr, arr.shape, "compress", platform, method=method, cf=cf, s=s, block=block
         )
-        return self._run_one(comp.compress, arr, method, cf, s, block, "compress", platform)
 
     def decompress_one(
         self,
@@ -935,33 +872,23 @@ class CompressionService:
         platform: str | None = None,
     ) -> Tensor:
         arr = y.numpy() if isinstance(y, Tensor) else np.asarray(y, dtype=np.float32)
-        comp = make_compressor(
-            original_shape[-2], original_shape[-1], method=method, cf=cf, s=s, block=block
+        return self._run_one(
+            arr, original_shape, "decompress", platform, method=method, cf=cf, s=s, block=block
         )
-        return self._run_one(comp.decompress, arr, method, cf, s, block, "decompress", platform)
 
-    def _run_one(self, fn, arr, method, cf, s, block, direction, platform) -> Tensor:
+    def _run_one(self, arr, plane_shape, direction, platform, **config) -> Tensor:
+        comp = make_compressor(plane_shape[-2], plane_shape[-1], **config)
         if platform is None:
             alive = self.scheduler.alive()
             if not alive:
                 raise DeviceLostError("no live platform instances remain")
             platform = alive[0].platform
-        plan_key = PlanKey.for_compressor(
-            platform, arr.shape, method=method, cf=cf, s=s, block=block, direction=direction
-        )
         try:
-            program = self.cache.get_or_compile(
-                plan_key,
-                lambda: compile_program(
-                    fn,
-                    np.zeros(arr.shape, np.float32),
-                    platform,
-                    name=f"{method}-{direction}-{platform}",
-                    key=plan_key,
-                ),
+            program = compile_plan(
+                lambda: comp, arr.shape, platform, direction=direction, cache=self.cache, **config
             )
         except CompileError:
             # The host always runs the program eagerly; serving must not
             # make a previously-working call path start failing.
-            return fn(Tensor(arr))
+            return getattr(comp, direction)(Tensor(arr))
         return program.run(arr).output

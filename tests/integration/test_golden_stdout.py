@@ -6,7 +6,9 @@ the fleet router began polling only workers with a flush due.  Neither
 change may move what the model reports, so the output must not move.
 Each command runs in a fresh interpreter (plan-cache instance labels and
 the process registry are per process); the exit code is compared too.
-Render a fixture with ``PYTHONPATH=src python -m repro <args> > <name>.txt``.
+``degrade_hedge_soak`` was rendered later, before the service's trace
+events and plan compiles each went through one helper; it must not move
+either.  Render a fixture with ``PYTHONPATH=src python -m repro <args> > <name>.txt``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden_stdout"
 COMMANDS = {
     "serve_demo": (["serve-demo", "--requests", "1000", "--seed", "7"], 0),
     "chaos_soak": (["chaos-soak", "--seed", "7"], 0),
+    "degrade_hedge_soak": (
+        ["chaos-soak", "--seed", "11", "--shed-policy", "degrade", "--hedge-queue", "0.0005"],
+        0,
+    ),
     "fleet_soak": (["chaos-soak", "--fleet", "--seed", "7"], 0),
     "sdc_soak_seed7": (
         ["chaos-soak", "--fleet", "--sdc", "--seed", "7", "--requests", "600"], 0

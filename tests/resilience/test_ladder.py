@@ -14,6 +14,7 @@ from repro.core import make_compressor
 from repro.errors import CompileError, OutOfMemoryError, ShapeError
 from repro.harness.timing import measure
 from repro.resilience import (
+    Attempt,
     LadderPolicy,
     RecoveryLog,
     ResilientCompressor,
@@ -100,6 +101,16 @@ class TestLadderRecovery:
             )
         assert "gave_up" in log.actions()
 
+    def test_inapplicable_ps_rung_is_skipped(self):
+        # 16 / s=4 leaves 4x4 chunks, not a multiple of block 8: that PS
+        # rung (and s=8) cannot apply, so the walk passes over it.
+        result = compile_with_ladder(16, platform="groq", batch=3000, channels=1)
+        no_ps = compile_with_ladder(
+            16, platform="groq", batch=3000, channels=1, policy=LadderPolicy(allow_ps=False)
+        )
+        assert result.attempt == no_ps.attempt == Attempt("shard", "groq", "dc", 2, n_devices=8)
+        assert all(a.s * 8 <= 16 for a, _ in result.failures if a.method == "ps")
+
     def test_clean_compile_takes_original_rung(self):
         log = RecoveryLog()
         result = compile_with_ladder(64, platform="ipu", batch=4, log=log)
@@ -152,6 +163,15 @@ class TestResilientCompressorLadder:
         with FaultInjector(plan):
             with pytest.raises(DeviceLostError):
                 rc.compress(np.zeros((2, 1, 32, 32), np.float32))
+
+    def test_inapplicable_ps_rung_is_skipped(self, rng):
+        rc = ResilientCompressor(16, platform="groq", batch=3000, channels=1)
+        x = rng.standard_normal((3000, 1, 16, 16)).astype(np.float32)
+        y = rc.compress(x)
+        assert rc.resolved == Attempt("shard", "groq", "dc", 2, n_devices=8)
+        np.testing.assert_allclose(
+            y.numpy(), make_compressor(16, cf=4).compress(x).numpy(), atol=1e-4
+        )
 
     def test_sharded_execution_matches_unsharded(self, rng):
         x = rng.standard_normal((2000, 3, 64, 64)).astype(np.float32)

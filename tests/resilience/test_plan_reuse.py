@@ -3,14 +3,16 @@
 Before this existed, every `ResilientCompressor` construction re-ran the
 full degradation ladder — re-tracing programs that an identical
 configuration had already compiled.  With a shared `CompiledPlanCache`
-(or a `preresolved` LadderResult) the walk replays from cache.
+the walk replays from cache.
 """
+
+import traceback
 
 import numpy as np
 import pytest
 
 from repro.errors import OutOfMemoryError
-from repro.resilience import RecoveryLog, ResilientCompressor, compile_with_ladder
+from repro.resilience import LadderPolicy, RecoveryLog, ResilientCompressor, compile_with_ladder
 from repro.serve import CompiledPlanCache
 
 
@@ -38,6 +40,26 @@ class TestLadderCache:
         assert cache.misses == misses
         # The cached rejection still shows up in the audit trail.
         assert any("cached" in e.detail for e in log.by_action("fault"))
+
+    def test_cached_rejection_reraises_a_fresh_error(self):
+        # Re-raising the cached object itself would grow its traceback on
+        # every replay and lose where the configuration first failed.
+        cache = CompiledPlanCache()
+        policy = LadderPolicy(allow_ps=False, allow_shard=False, allow_fallback=False)
+
+        def walk() -> OutOfMemoryError:
+            with pytest.raises(OutOfMemoryError) as info:
+                compile_with_ladder(
+                    512, platform="sn30", batch=4, channels=1, policy=policy, cache=cache
+                )
+            return info.value
+
+        stored = walk()                      # the first rejection is what the cache keeps
+        depth = len(traceback.extract_tb(stored.__traceback__))
+        replays = [walk() for _ in range(3)]
+        assert len({id(e) for e in (stored, *replays)}) == 4
+        assert all(e.__cause__ is stored for e in replays)
+        assert len(traceback.extract_tb(stored.__traceback__)) == depth
 
     def test_cached_and_fresh_walks_agree(self):
         cache = CompiledPlanCache()
@@ -67,26 +89,17 @@ class TestResilientCompressorReuse:
         # Same compiled plan object, not a recompile.
         assert rc1.compile("compress").program is rc2.compile("compress").program
 
-    def test_preresolved_skips_the_ladder_entirely(self):
+    def test_decompress_pins_to_cached_compress(self):
         cache = CompiledPlanCache()
-        rc1 = ResilientCompressor(32, platform="ipu", batch=4, channels=1, plan_cache=cache)
-        resolved = rc1.compile("compress")
-        rc2 = ResilientCompressor(
-            32, platform="ipu", batch=4, channels=1, preresolved=resolved
-        )
-        assert rc2.resolved is resolved.attempt
-        assert rc2.compile("compress") is resolved
-        out = rc2.compress(np.zeros((4, 1, 32, 32), np.float32))
-        assert out.shape[0] == 4
-
-    def test_decompress_pins_to_preresolved_compress(self):
-        rc1 = ResilientCompressor(512, platform="sn30", batch=2, channels=1)
-        resolved = rc1.compile("compress")
+        resolved = ResilientCompressor(
+            512, platform="sn30", batch=2, channels=1, plan_cache=cache
+        ).compile("compress")
         assert resolved.attempt.rung == "ps"
-        rc2 = ResilientCompressor(
-            512, platform="sn30", batch=2, channels=1, preresolved=resolved
-        )
-        dec = rc2.compile("decompress")
+        rc = ResilientCompressor(512, platform="sn30", batch=2, channels=1, plan_cache=cache)
+        misses = cache.misses
+        assert rc.compile("compress").program is resolved.program   # replayed from cache
+        assert cache.misses == misses
+        dec = rc.compile("decompress")
         # The decompress side adopts the representation compress chose.
         assert dec.attempt.method == resolved.attempt.method
         assert dec.attempt.s == resolved.attempt.s
