@@ -20,6 +20,7 @@ real compilers' static-shape requirement.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -89,16 +90,9 @@ class PlanKey:
         block: int,
         direction: str,
     ) -> "PlanKey":
-        """Key for one compressor program at one example input shape."""
-        return cls(
-            platform=platform,
-            input_shapes=(tuple(input_shape),),
-            method=method,
-            cf=cf,
-            s=s,
-            block=block,
-            direction=direction,
-        )
+        """Key for one compressor program at one example input shape
+        (interned: see :func:`compressor_key`)."""
+        return compressor_key(platform, tuple(input_shape), method, cf, s, block, direction)
 
     def describe(self) -> str:
         shapes = "/".join("x".join(str(d) for d in s) for s in self.input_shapes)
@@ -110,6 +104,32 @@ class PlanKey:
         if self.name:
             bits.append(self.name)
         return " ".join(bits)
+
+
+@functools.lru_cache(maxsize=4096)
+def compressor_key(
+    platform: str, input_shape: tuple[int, ...], method: str, cf: int, s: int,
+    block: int, direction: str,
+) -> PlanKey:
+    """The one :class:`PlanKey` of a compressor program, built once per
+    distinct (hashable) argument tuple.
+
+    Shapes are frozen at compile time, so a plan's identity is fixed by
+    these arguments; the serving hot paths (admission pricing, the
+    ladder walk) look keys up here instead of re-running the dataclass
+    constructor and its shape normalisation per request.  ``np.int64``
+    shape entries hash and compare equal to ``int``, so they share the
+    entry.
+    """
+    return PlanKey(
+        platform=platform,
+        input_shapes=(input_shape,),
+        method=method,
+        cf=cf,
+        s=s,
+        block=block,
+        direction=direction,
+    )
 
 
 def _check_operators(graph: Graph, spec: AcceleratorSpec) -> None:

@@ -31,6 +31,7 @@ Rationale for each term against the paper's Section 4.2.2 observations:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.accel.cost import ProgramCost
 from repro.accel.spec import AcceleratorSpec
@@ -55,8 +56,9 @@ class TimingBreakdown:
         """Roofline on-device time plus serial per-op and placement costs."""
         return max(self.compute, self.memory) + self.gather + self.small_tensor + self.dispatch
 
-    @property
+    @cached_property
     def total(self) -> float:
+        # Cached: a compiled plan's timing is frozen, and pricing reads it per request.
         return self.launch + self.pipeline_fill + self.host_in + self.host_out + self.device
 
     def throughput(self, reference_bytes: int) -> float:

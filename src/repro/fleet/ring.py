@@ -25,6 +25,9 @@ import hashlib
 
 from repro.errors import ConfigError
 
+#: Memoised owner walks kept per ring (distinct plan identities).
+_OWNERS_CAP = 4096
+
 
 def stable_hash(text: str) -> int:
     """Deterministic 64-bit hash (never Python's seeded ``hash``)."""
@@ -42,6 +45,9 @@ class HashRing:
         self.vnodes = vnodes
         self._points: list[tuple[int, str]] = []   # sorted (hash, worker)
         self._members: set[str] = set()
+        # key -> owners walk; valid until the next membership change and
+        # bounded, since keys come from request shapes.
+        self._owners: dict[str, tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     def add(self, worker: str) -> None:
@@ -49,6 +55,7 @@ class HashRing:
         if worker in self._members:
             return
         self._members.add(worker)
+        self._owners.clear()
         for i in range(self.vnodes):
             point = (stable_hash(f"{worker}#{i}"), worker)
             bisect.insort(self._points, point)
@@ -58,6 +65,7 @@ class HashRing:
         if worker not in self._members:
             return
         self._members.discard(worker)
+        self._owners.clear()
         self._points = [p for p in self._points if p[1] != worker]
 
     def __contains__(self, worker: str) -> bool:
@@ -71,14 +79,23 @@ class HashRing:
         return sorted(self._members)
 
     # ------------------------------------------------------------------
-    def owners(self, key: str) -> list[str]:
+    def owners(self, key: str) -> tuple[str, ...]:
         """Distinct workers in ring order starting at ``key``'s successor.
 
         The first element is the primary owner; the rest are the spill
-        order a bounded-load router walks.
+        order a bounded-load router walks.  Memoised per key until the
+        membership changes (hence a tuple: the entry is shared).
         """
+        owners = self._owners.get(key)
+        if owners is None:
+            if len(self._owners) >= _OWNERS_CAP:
+                self._owners.clear()
+            owners = self._owners[key] = self._walk(key)
+        return owners
+
+    def _walk(self, key: str) -> tuple[str, ...]:
         if not self._points:
-            return []
+            return ()
         h = stable_hash(key)
         start = bisect.bisect_right(self._points, (h, "￿"))
         seen: list[str] = []
@@ -89,7 +106,7 @@ class HashRing:
                 seen.append(worker)
                 if len(seen) == len(self._members):
                     break
-        return seen
+        return tuple(seen)
 
     def primary(self, key: str) -> str | None:
         """The key's primary owner (``None`` on an empty ring)."""

@@ -45,6 +45,7 @@ crashes, spills, handoffs and all — is deterministic end to end.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 
@@ -73,8 +74,10 @@ from repro.serve.service import CompressionService, FailedRequest, Response
 _RECENT_LATENCY_WINDOW = 256
 
 
+@functools.lru_cache(maxsize=1024)
 def route_key(key: ServiceKey) -> str:
-    """The string hashed onto the ring: the full plan identity."""
+    """The string hashed onto the ring: the full plan identity (built
+    once per distinct key)."""
     return (
         f"{key.channels}x{key.height}x{key.width}"
         f"/{key.method}/cf{key.cf}/s{key.s}/b{key.block}"
@@ -153,6 +156,11 @@ class FleetRouter:
         )
         self.ring = HashRing(vnodes=vnodes)
         self.workers: dict[str, FleetWorker] = {}
+        # The ``up`` and the benched (down or quarantined) workers, in
+        # creation order, rebuilt at every state change so per-request
+        # loops never filter every worker the fleet ever created.
+        self._up: list[FleetWorker] = []
+        self._benched: list[FleetWorker] = []
         self.admission = (
             TenantAdmission(tenant_policy) if tenant_policy is not None else None
         )
@@ -262,7 +270,7 @@ class FleetRouter:
         worker.service.slo_worker = name
         self.workers[name] = worker
         self.ring.add(name)
-        self._update_workers_gauge()
+        self._membership_changed()
         return worker
 
     def _retire(self, worker: FleetWorker) -> None:
@@ -272,17 +280,20 @@ class FleetRouter:
         worker.state = "retired"
         for lease in worker.leases:
             self.pool.release(lease)
-        self._update_workers_gauge()
+        self._membership_changed()
 
-    def _update_workers_gauge(self) -> None:
-        self._m_workers.set(sum(1 for w in self.workers.values() if w.up))
+    def _membership_changed(self) -> None:
+        workers = self.workers.values()
+        self._up = [w for w in workers if w.up]
+        self._benched = [w for w in workers if w.state in ("down", "quarantined")]
+        self._m_workers.set(len(self._up))
 
     @property
     def live_workers(self) -> list[FleetWorker]:
-        return [w for w in self.workers.values() if w.up]
+        return list(self._up)
 
     def _total_depth(self) -> int:
-        return sum(w.depth for w in self.workers.values() if w.up)
+        return sum(w.service.batcher.depth for w in self._up)
 
     def _has_capacity(self, name: str) -> bool:
         return self.workers[name].depth < self.spill_depth
@@ -304,8 +315,8 @@ class FleetRouter:
             # moved elsewhere still flushes partial batches on time, and
             # queue depths read true for spill and autoscale.  A worker
             # whose earliest deadline is still ahead has nothing to flush.
-            for worker in self.workers.values():
-                if worker.up and worker.service.batcher.next_due <= now:
+            for worker in self._up:
+                if worker.service.batcher.next_due <= now:
                     self._collect(worker, worker.service.poll(now))
             if self.fault_plan is not None:
                 for fault in self.fault_plan.due(ordinal):
@@ -325,9 +336,8 @@ class FleetRouter:
         # Trace end: every pending restart lands (nothing stays down),
         # then live workers drain their partial batches.
         self._process_rejoins(math.inf, last_now)
-        for worker in self.workers.values():
-            if worker.up:
-                self._collect(worker, worker.service.drain())
+        for worker in self._up:
+            self._collect(worker, worker.service.drain())
         if self.slo is not None:
             end = max((r.finish for r in self.responses), default=last_now)
             self.slo.finalize(end)
@@ -375,7 +385,8 @@ class FleetRouter:
             if not self.admission.admit(req.tenant, contended=contended):
                 self._quota_shed(req, now, ctx)
                 return
-        name, spilled = self.ring.route(route_key(req.key), self._has_capacity)
+        rkey = route_key(req.key)
+        name, spilled = self.ring.route(rkey, self._has_capacity)
         if name is None:
             exc = DeviceLostError(f"request {req.rid}: no live fleet workers")
             self.failures.append(FailedRequest(req, exc))
@@ -399,9 +410,7 @@ class FleetRouter:
         self.worker_of_rid[req.rid] = name
         self._h_requests[name].inc()
         if ctx is not None:
-            labels = dict(
-                worker=name, tenant=req.tenant, route_key=route_key(req.key)
-            )
+            labels = dict(worker=name, tenant=req.tenant, route_key=rkey)
             ctx = ctx.next_hop(**labels) if replay else ctx.with_attrs(**labels)
             self._trace_ctx[req.rid] = ctx
             if spilled:
@@ -492,19 +501,16 @@ class FleetRouter:
             # remember the hit rate the warm-handoff bar is judged against.
             worker.pre_crash_hit_rate = worker.cache_hit_rate
             worker.archive_service()
-        self._update_workers_gauge()
+        self._membership_changed()
         # Dedup-safe replay: these requests were pulled from the queue
         # before ever being served, so rerouting serves each exactly once.
         for req in queued:
             self._route(req, now, replay=True)
 
     def _process_rejoins(self, ordinal: float, now: float) -> None:
-        for worker in self.workers.values():
-            if (
-                worker.state in ("down", "quarantined")
-                and worker.restart_at is not None
-                and worker.restart_at <= ordinal
-            ):
+        # A rejoin rebuilds ``_benched``; this walks the list as it was.
+        for worker in self._benched:
+            if worker.restart_at is not None and worker.restart_at <= ordinal:
                 self._rejoin(worker, now)
 
     # ------------------------------------------------------------------
@@ -512,11 +518,9 @@ class FleetRouter:
     # (docs/INTEGRITY.md).  Crash faults are loud; SDC is silent, so the
     # trigger is the guard-detection tally the worker's own service keeps.
     def _check_quarantine(self, now: float) -> None:
-        for worker in list(self.workers.values()):
-            if (
-                worker.up
-                and worker.integrity_delta() >= self.quarantine.fault_threshold
-            ):
+        # A quarantine rebuilds ``_up``; this walks the list as it was.
+        for worker in self._up:
+            if worker.integrity_delta() >= self.quarantine.fault_threshold:
                 self._quarantine_worker(worker, now)
 
     def _quarantine_worker(self, worker: FleetWorker, now: float) -> None:
@@ -527,6 +531,7 @@ class FleetRouter:
         self.ring.remove(worker.name)
         self._collect(worker, worker.service.drain())
         worker.state = "quarantined"
+        self._membership_changed()
         worker.n_quarantines += 1
         worker.restart_at = self._ordinal + self.quarantine.quarantine_ordinals
         self.n_quarantines += 1
@@ -566,7 +571,7 @@ class FleetRouter:
             self.ring.add(worker.name)
             self.n_quarantine_rejoins += 1
             self._m_quarantine_rejoins.inc(worker=worker.name)
-            self._update_workers_gauge()
+            self._membership_changed()
             if self.tracer is not None:
                 self.tracer.record_event(
                     self.tracer.new_trace(), "fleet.quarantine_rejoin", now,
@@ -611,14 +616,13 @@ class FleetRouter:
             worker.integrity_floor = worker.service.integrity_faults
         worker.state = "up"
         self.ring.add(worker.name)
-        self._update_workers_gauge()
+        self._membership_changed()
 
     def _take_snapshots(self, now: float) -> None:
-        for worker in self.workers.values():
-            if worker.up:
-                self._snapshots[worker.name] = worker.service.cache.export_snapshot(
-                    taken_at=now
-                )
+        for worker in self._up:
+            self._snapshots[worker.name] = worker.service.cache.export_snapshot(
+                taken_at=now
+            )
 
     # ------------------------------------------------------------------
     # Autoscaling.

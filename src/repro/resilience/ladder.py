@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.accel.compiler import CompiledProgram, PlanKey, compile_program
+from repro.accel.compiler import CompiledProgram, compile_program, compressor_key
 from repro.accel.multichip import shard_counts
 from repro.core.api import Compressor, make_compressor
 from repro.core.dct import DEFAULT_BLOCK
@@ -135,9 +135,7 @@ def compile_plan(
     """Compile ``compressor()``'s ``direction`` program at example input ``shape``,
     through ``cache.get_or_compile`` when a cache is given (``compressor``
     is only called on a miss); a cached rejection raises a fresh error."""
-    key = PlanKey.for_compressor(
-        platform, shape, method=method, cf=cf, s=s, block=block, direction=direction
-    )
+    key = compressor_key(platform, tuple(shape), method, cf, s, block, direction)
 
     def build() -> CompiledProgram:
         fn = getattr(compressor(), direction)

@@ -49,6 +49,7 @@ replays are bit-identical to the pre-overload serving path.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -344,7 +345,10 @@ class CompressionService:
         if deadline is None:
             return req
         if deadline != req.deadline:
-            req = replace(req, deadline=deadline)
+            # Stamp a shallow copy: the caller's trace stays untouched (it
+            # may be replayed) and the copy keeps the original's key.
+            req = copy.copy(req)
+            req.deadline = deadline
         predicted = self._predict_finish(req, now)
         if predicted <= deadline:
             return req
@@ -410,19 +414,23 @@ class CompressionService:
         """
         key = req.key
         flush_at = req.arrival + self.batcher.max_wait
-        platforms = list(dict.fromkeys(w.platform for w in self.scheduler.alive()))
+        # One pass: each platform's earliest free instance, in first-seen
+        # order (the estimate order below is the plan cache's LRU order).
+        earliest: dict[str, float] = {}
+        for w in self.scheduler.alive():
+            free = max(w.busy_until, now)
+            if w.platform not in earliest or free < earliest[w.platform]:
+                earliest[w.platform] = free
         permitted = [
             p
-            for p in platforms
+            for p in earliest
             if (b := self.breakers.get(p)) is None or b.would_allow(now)
         ]
         best = math.inf
-        for platform in permitted or platforms:
+        for platform in permitted or earliest:
             est = self._estimate_batch_seconds(platform, key)
-            if not math.isfinite(est):
-                continue
-            earliest = max(self._worker_for(platform, now).busy_until, now)
-            best = min(best, max(flush_at, earliest) + est)
+            if math.isfinite(est):
+                best = min(best, max(flush_at, earliest[platform]) + est)
         return best
 
     # ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.accel import PlanKey, compile_program
+from repro.accel.compiler import compressor_key
 from repro.core import make_compressor
 
 
@@ -57,6 +58,21 @@ class TestPlanKeyIdentity:
         )
         assert key.input_shapes == ((4, 3, 32, 32),)
         assert "ipu" in key.describe() and "cf=4" in key.describe()
+
+    def test_interned_key_accepts_numpy_shape_entries(self):
+        args = ("ipu", "dc", 4, 2, 8, "compress")
+        plain = compressor_key(args[0], (4, 3, 32, 32), *args[1:])
+        numpy_dims = compressor_key(
+            args[0], tuple(np.int64(d) for d in (4, 3, 32, 32)), *args[1:]
+        )
+        assert numpy_dims == plain and hash(numpy_dims) == hash(plain)
+        assert {plain: "plan"}[numpy_dims] == "plan"
+        assert all(type(d) is int for d in numpy_dims.input_shapes[0])
+        # Interned: equal arguments return the one key object.
+        assert compressor_key(args[0], (4, 3, 32, 32), *args[1:]) is plain
+        assert PlanKey.for_compressor(
+            "ipu", [4, 3, 32, 32], method="dc", cf=4, s=2, block=8, direction="compress"
+        ) is plain
 
 
 class TestCompiledProgramKey:

@@ -1,5 +1,6 @@
 """Consistent-hash ring: stability, balance, and bounded-load spill."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -69,6 +70,35 @@ def test_owners_walk_is_distinct_and_complete():
     owners = ring.owners("some-key")
     assert sorted(owners) == ["w0", "w1", "w2", "w3"]
     assert len(set(owners)) == 4
+
+
+def test_owners_memo_follows_membership_changes():
+    ring = _ring(4)
+    keys = [f"3x{32 + 8 * i}x{32 + 8 * i}/dc/cf{i % 7 + 1}/s2/b8" for i in range(50)]
+    rng = np.random.default_rng(5)
+    pool = [f"w{i}" for i in range(10)]
+    for _ in range(40):
+        worker = str(rng.choice(pool))
+        if worker in ring and len(ring) > 1:
+            ring.remove(worker)
+        else:
+            ring.add(worker)
+        fresh = _ring(0)
+        for member in ring.members:
+            fresh.add(member)
+        for k in keys:
+            owners = ring.owners(k)
+            assert isinstance(owners, tuple)   # the shared memo entry is immutable
+            assert owners == fresh.owners(k)
+
+
+def test_owners_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr("repro.fleet.ring._OWNERS_CAP", 4)
+    ring = _ring(4)
+    walks = {f"k{i}": ring._walk(f"k{i}") for i in range(10)}
+    for k, owners in walks.items():
+        assert ring.owners(k) == owners
+        assert len(ring._owners) <= 4
 
 
 def test_bounded_load_spills_to_next_owner():

@@ -142,6 +142,29 @@ def test_request_deadline_overrides_default():
     assert svc.shed[0].request.rid == trace[3].rid
 
 
+def test_default_deadline_is_stamped_on_a_copy():
+    policy = OverloadPolicy(default_deadline=0.0026)   # sheds part of this trace
+    trace = synthetic_trace(n=40, seed=2)
+    req = trace[0]
+    admitted = _service(overload=policy)._admit(req)
+    assert admitted is not req
+    assert admitted.deadline == req.arrival + 0.0026
+    assert admitted.key is req.key
+    assert req.deadline is None
+
+    def admitted_rids(overload):
+        responses, _ = _service(overload=overload).process(trace)
+        return {r.request.rid for r in responses}
+
+    first = admitted_rids(policy)
+    assert 0 < len(first) < len(trace)
+    assert all(r.deadline is None for r in trace)
+    # Had the tight stamp leaked into the trace, a generous policy would
+    # still shed; a rerun of the tight one admits exactly the same set.
+    assert len(admitted_rids(OverloadPolicy(default_deadline=1.0))) == len(trace)
+    assert admitted_rids(policy) == first
+
+
 def test_degrade_instead_of_shed(a100_only=("a100",)):
     # est(a100, 256px batch): cf=8 ~6.3ms, cf=4 ~5.0ms; flush deadline
     # 2ms.  A 7.5ms deadline misses at cf=8 but fits at cf=4.

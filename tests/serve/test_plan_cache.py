@@ -5,8 +5,9 @@ import pytest
 
 from repro.accel import PlanKey, compile_program
 from repro.core import make_compressor
-from repro.errors import ConfigError, OutOfMemoryError
-from repro.serve import CompiledPlanCache
+from repro.errors import CompileError, ConfigError, OutOfMemoryError
+from repro.resilience.ladder import compile_plan
+from repro.serve import CompiledPlanCache, CompressionService, Request
 
 
 def key(i: int, platform: str = "ipu") -> PlanKey:
@@ -184,3 +185,49 @@ class TestNegativeTTL:
     def test_ttl_validation(self):
         with pytest.raises(ConfigError):
             CompiledPlanCache(negative_ttl=0)
+
+
+class TestPricingPathAccounting:
+    """Admission pricing makes one counted lookup per (request, platform),
+    exactly as the same sequence of direct ``compile_plan`` calls would."""
+
+    PLATFORMS = ("ipu", "a100")
+
+    def _cache(self):
+        cache = CompiledPlanCache(negative_ttl=2)
+        exc = OutOfMemoryError("injected oom", platform="ipu", reason="flaky toolchain")
+        exc.deterministic = False
+        cache.put(key(4), exc)                 # ipu's plan at the service's shape
+        return cache
+
+    def _counts(self, cache):
+        return (
+            cache.hits,
+            cache.misses,
+            int(cache._c_reprobes.value(cache=cache._label)),
+            cache.keys(),
+        )
+
+    def test_predict_finish_matches_direct_compile_plan_calls(self):
+        service = CompressionService(self.PLATFORMS, max_batch=2, cache=self._cache())
+        req = Request(0, np.zeros((3, 32, 32), np.float32), cf=4)
+        estimates = [service._predict_finish(req, 0.0) for _ in range(4)]
+
+        direct = self._cache()
+        for _ in range(4):
+            for platform in self.PLATFORMS:
+                try:
+                    compile_plan(
+                        lambda: make_compressor(32, cf=4), (2, 3, 32, 32), platform,
+                        method="dc", cf=4, s=2, block=8, direction="compress",
+                        cache=direct,
+                    )
+                except CompileError:
+                    pass
+
+        # Two cached rejections spend the budget, the third lookup re-probes.
+        assert self._counts(service.cache) == self._counts(direct)
+        assert self._counts(direct)[:3] == (6, 2, 1)
+        assert direct.keys() == [key(4), key(4, "a100")]
+        # ipu prices in only once its plan compiles on the re-probe.
+        assert estimates[0] == estimates[1] and estimates[2] <= estimates[0]
